@@ -23,6 +23,7 @@ import sys
 import numpy as np
 
 from .analysis import (
+    _fit,
     condition_curve,
     emit_report,
     normal_condition_curve,
@@ -38,13 +39,10 @@ from .bitkernel import (
 )
 from .errors import ConvergenceError, TensorFileError
 from .quantizers import (
+    LloydQuantizer,
     lloyd_to_scaled_binary,
     objective,
     quantize_greedy,
-    quantize_lloyd,
-    quantize_ls1,
-    quantize_ls2,
-    quantize_ternary,
     reconstruct,
 )
 from .rank1 import channel_mean_rank1, energy_profile, rank1_binary, residual_fro2
@@ -97,9 +95,6 @@ def _load_vector(path, fmt=None) -> np.ndarray:
     return load_tensor(path, fmt).reshape(-1)
 
 
-_FIXED_K = {"ls1": 1, "ls2": 2, "ternary": 2}
-
-
 def cmd_quantize(args) -> int:
     x = _load_vector(args.input, args.format)
     try:
@@ -109,18 +104,11 @@ def cmd_quantize(args) -> int:
     family, k = parsed[0]
     if args.bits is not None and args.bits != k:
         raise _UsageError(f"method {args.method!r} is {k}-bit, but --bits {args.bits} given")
-    if family == "ls1":
-        q = quantize_ls1(x)
-    elif family == "ls2":
-        q = quantize_ls2(x)
-    elif family == "ternary":
-        q = quantize_ternary(x)
-    elif family == "greedy":
-        q = quantize_greedy(x, k)
-    else:
+    q = _fit(family, k, x)
+    if isinstance(q, LloydQuantizer):
         # The Lloyd codebook is not a sum of sign planes; serialize the
         # closest k-plane form derived from its binary cluster codes.
-        q = lloyd_to_scaled_binary(quantize_lloyd(x, k))
+        q = lloyd_to_scaled_binary(q)
     save_packed(pack_quantization(q), args.out)
     if args.recon:
         save_tensor(reconstruct(q), args.recon)

@@ -28,7 +28,7 @@ Conventions used throughout (and relied on by exact tests):
   planes before i); equivalently each element is assigned to the nearest
   reconstruction value, with boundary ties going to the larger one.
 * Group means over magnitudes are numpy reductions (pairwise summation) on
-  ascending-sorted slices, in float64.  The fixed-point scans split sorted
+  ascending-sorted slices, in float64.  The cut scan splits sorted
   magnitudes into a lower group (<= v) and an upper group (> v).
 * Candidate ties are broken by exact float comparison on the pair
   (objective, v_1), smaller first.
@@ -46,8 +46,6 @@ _METHODS = ("ls1", "ls2", "ternary", "greedy", "lloyd")
 # Methods whose constructors guarantee nonincreasing levels.  Greedy keeps
 # its levels in generation order, which residual fitting does not sort.
 _ORDERED_METHODS = ("ls1", "ls2", "ternary", "lloyd")
-
-_EPS = np.finfo(np.float64).eps
 
 
 def sign(values):
@@ -228,76 +226,37 @@ def quantize_greedy(x, k: int) -> ScaledBinaryQuantization:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point scans over sorted magnitudes
+# Two-means cut scan over sorted magnitudes
 #
-# Both the two-bit and the ternary solvers reduce to a 1-D problem on the
-# sorted magnitudes a_0 <= ... <= a_{n-1}: choose a cut t so that the lower
-# group a[:t] and upper group a[t:] are self-consistent with the level
-# derived from their means.  The candidate level for cut t is
+# Both two-plane fits are 1-D two-means problems on the sorted magnitudes
+# a_0 <= ... <= a_{n-1}.  ls2 places a free centre on each of two groups
+# (reconstruction magnitudes v1 - v2 and v1 + v2); ternary pins the lower
+# centre at 0 (reconstruction magnitudes 0 and 2v).  An optimal 1-D two-means
+# partition is contiguous in sorted order (Wang & Song 2011, Ckmeans.1d.dp),
+# so the optimum is a cut t into a lower group a[:t] and an upper group a[t:]
+# with per-group mean centres.  With prefix sums P_t and suffix sums S_t the
+# squared error of cut t is sum(a^2) minus its gain
 #
-#     ls2:      (m_lo + m_hi) / 2      (m_lo = 0 when the lower group is empty)
-#     ternary:  m_hi / 2
+#     ls2:      P_t^2 / t + S_t^2 / (n - t)      (first term 0 when t = 0)
+#     ternary:  S_t^2 / (n - t)
 #
-# and cut t is accepted when a[t-1] <= level < a[t], i.e. the upper group is
-# exactly the set of magnitudes strictly above the level.  A monotonicity
-# argument (the candidate is nondecreasing in t while the interval edges
-# sweep the data) guarantees at least one accepted cut for any vector that
-# is not identically zero.
+# so the optimum is an argmax of the gain over t.  A cut inside a run of
+# equal magnitudes is never optimal (moving a tied element to the nearer
+# centre strictly lowers the error), so only run boundaries are scanned.  The
+# optimal cut is a Lloyd fixed point: its level, (m_lo + m_hi) / 2 for ls2
+# and m_hi / 2 for ternary, satisfies a[t-1] <= level < a[t].
 #
-# The scan screens all cuts with O(n) cumulative sums, then recomputes the
-# means of accepted cuts with numpy's pairwise reduction on the sorted
-# slices so that the published level satisfies its defining condition in
-# exact float arithmetic.  Suffix sums use a reversed cumulative sum; the
-# forward-difference form loses all precision for short upper groups.
-
-
-def _conditional_mean_roots(mags: np.ndarray, with_lower: bool):
-    """Self-consistent cuts of the sorted magnitude array.
-
-    Returns a list of ``(t, m_lo, m_hi)`` tuples where the group means are
-    exact slice means and the derived level lies in ``[a[t-1], a[t])``.
-    """
-    n = mags.size
-    t = np.arange(n)
-    prefix = np.concatenate(([0.0], np.cumsum(mags[:-1])))
-    suffix = np.cumsum(mags[::-1])[::-1]
-    m_hi = suffix / (n - t)
-    m_lo = np.divide(prefix, t, out=np.zeros(n), where=t > 0)
-    cand = 0.5 * (m_lo + m_hi) if with_lower else 0.5 * m_hi
-    lo_edge = np.concatenate(([-np.inf], mags[:-1]))
-
-    def exact_accepts(cuts):
-        accepted = []
-        for ti in cuts:
-            m_lo_e = float(np.mean(mags[:ti])) if ti > 0 else 0.0
-            m_hi_e = float(np.mean(mags[ti:]))
-            v = 0.5 * (m_lo_e + m_hi_e) if with_lower else 0.5 * m_hi_e
-            if (ti == 0 or mags[ti - 1] <= v) and v < mags[ti]:
-                accepted.append((int(ti), m_lo_e, m_hi_e))
-        return accepted
-
-    strict = (cand >= lo_edge) & (cand < mags)
-    cuts = np.nonzero(strict)[0]
-    if cuts.size > 512:
-        # Pathological inputs can make very many cuts self-consistent; rank
-        # by the screening objective and keep the best before the exact pass.
-        sq = mags * mags
-        sq_prefix = np.concatenate(([0.0], np.cumsum(sq[:-1])))
-        sq_suffix = np.cumsum(sq[::-1])[::-1]
-        if with_lower:
-            sse = (sq_prefix - t * m_lo**2) + (sq_suffix - (n - t) * m_hi**2)
-        else:
-            sse = sq_prefix + (sq_suffix - (n - t) * m_hi**2)
-        cuts = cuts[np.argsort(sse[cuts], kind="stable")[:512]]
-    roots = exact_accepts(cuts)
-    if not roots:
-        # The screening candidates carry O(n * eps) rounding; when an exact
-        # root sits within that distance of a group edge the strict screen
-        # can miss it.  Retry with widened intervals.
-        tol = 32.0 * n * _EPS * np.maximum(cand, mags[-1] * _EPS)
-        near = (cand >= lo_edge - tol) & (cand < mags + tol) & ~strict
-        roots = exact_accepts(np.nonzero(near)[0][:1024])
-    return roots
+# The screening gains carry rounding, so the argmax and its neighbouring
+# boundary cuts are recomputed with numpy's pairwise mean over the sorted
+# slices, and a cut is kept only when its level satisfies that condition in
+# exact float arithmetic.  The sums are taken on the offsets
+# (a - a_0) / (a_{n-1} - a_0) in [0, 1]: unscaled, the squared sums underflow
+# for magnitudes near 1e-300, and because a shift leaves ls2's error
+# unchanged, offsets let its screen resolve groups narrower than the
+# rounding of the magnitudes themselves.  Ternary's suffix sums are mapped
+# back to a / a_{n-1}, since its pinned centre is not shift invariant.
+# Suffix sums use a reversed cumulative sum; the forward-difference form
+# loses all precision for short upper groups.
 
 
 def _split_mse(mags: np.ndarray, v1: float, v2: float) -> float:
@@ -309,6 +268,44 @@ def _split_mse(mags: np.ndarray, v1: float, v2: float) -> float:
     return (float(np.sum(low * low)) + float(np.sum(high * high))) / mags.size
 
 
+def _cut_gains(mags: np.ndarray):
+    """Run-boundary cuts of the sorted, not identically zero magnitudes and
+    the screening gains of ls2 and of ternary at each of them."""
+    n = mags.size
+    lo, hi = mags[0], mags[-1]
+    cuts = np.concatenate(([0], np.nonzero(mags[:-1] < mags[1:])[0] + 1))
+    width = hi - lo
+    offsets = (mags - lo) / width if width > 0 else np.zeros(n)
+    prefix = np.concatenate(([0.0], np.cumsum(offsets[:-1])))[cuts]
+    suffix = np.cumsum(offsets[::-1])[::-1][cuts]
+    ls2 = np.divide(prefix * prefix, cuts, out=np.zeros(cuts.size), where=cuts > 0)
+    ls2 += suffix * suffix / (n - cuts)
+    upper = (n - cuts) * (lo / hi) + (width / hi) * suffix
+    return cuts, ls2, upper * upper / (n - cuts)
+
+
+def _fixed_points(mags: np.ndarray, cuts, gain, with_lower: bool):
+    """Exactly self-consistent ``(v1, v2)`` levels among the cut with the
+    largest screening gain and its neighbouring cuts."""
+    best = int(np.argmax(gain))
+    accepted = []
+    for ti in cuts[max(best - 1, 0) : best + 2]:
+        m_lo = float(np.mean(mags[:ti])) if ti > 0 else 0.0
+        m_hi = float(np.mean(mags[ti:]))
+        if with_lower:
+            v1, v2 = 0.5 * (m_lo + m_hi), 0.5 * (m_hi - m_lo)
+        else:
+            v1 = v2 = 0.5 * m_hi
+        if (ti == 0 or mags[ti - 1] <= v1) and v1 < mags[ti]:
+            accepted.append((v1, v2))
+    return accepted
+
+
+def _best_levels(mags: np.ndarray, candidates) -> tuple[float, float]:
+    """The candidate with the smallest realized error; ties to smaller v1."""
+    return min(candidates, key=lambda c: (_split_mse(mags, *c), c[0]))
+
+
 def _zero_quantization(n: int, k: int, method: str) -> ScaledBinaryQuantization:
     return ScaledBinaryQuantization(
         levels=np.zeros(k),
@@ -317,33 +314,21 @@ def _zero_quantization(n: int, k: int, method: str) -> ScaledBinaryQuantization:
     )
 
 
-def _best_ternary_level(mags: np.ndarray) -> float:
-    """Level minimizing the ternary objective among the exact fixed points
-    of v = mean(upper group) / 2; ties broken toward the smaller level."""
-    roots = _conditional_mean_roots(mags, with_lower=False)
-    assert roots, "a not-identically-zero vector always admits a fixed point"
-    best = None
-    for _, _, m_hi in roots:
-        v = 0.5 * m_hi
-        key = (_split_mse(mags, v, v), v)
-        if best is None or key < best[0]:
-            best = (key, v)
-    return best[1]
-
-
 def quantize_ternary(x) -> ScaledBinaryQuantization:
     """Least squares ternary quantization onto {-2v, 0, +2v}.
 
-    The returned level satisfies v = mean(magnitudes strictly above v) / 2
-    exactly, with the mean taken as a numpy reduction over the ascending
-    sorted magnitude slice.
+    The optimum is the two-means cut of the sorted magnitudes with the lower
+    centre pinned at 0, so v is half the upper group's mean.  The returned
+    level satisfies v = mean(magnitudes strictly above v) / 2 exactly, with
+    the mean taken as a numpy reduction over the ascending sorted magnitude
+    slice.
     """
     x = as_float_vector(x)
     mags = np.sort(np.abs(x))
     if mags[-1] == 0.0:
         return _zero_quantization(x.size, 2, "ternary")
-    v = _best_ternary_level(mags)
-    levels = np.array([v, v])
+    cuts, _, gain = _cut_gains(mags)
+    levels = np.array(_best_levels(mags, _fixed_points(mags, cuts, gain, False)))
     return ScaledBinaryQuantization(
         levels=levels, planes=foldable_planes(x, levels), method="ternary"
     )
@@ -352,29 +337,24 @@ def quantize_ternary(x) -> ScaledBinaryQuantization:
 def quantize_ls2(x) -> ScaledBinaryQuantization:
     """Globally optimal foldable 2-bit quantization.
 
-    Candidates are the fixed points of v_1 = (lower mean + upper mean) / 2
-    over sorted-magnitude cuts, plus the two boundary solutions where a
-    level degenerates: v_2 = 0 (the 1-bit fit) and v_1 = v_2 (the ternary
-    fit).  The candidate with the smallest mean squared error wins; ties go
-    to the smaller v_1.
+    A foldable pair reconstructs magnitudes v1 - v2 and v1 + v2 split at
+    v1, so the optimum is the two-means cut of the sorted magnitudes, with
+    v1 and v2 the half-sum and half-difference of the group means.  The
+    1-bit fit (v2 = 0) and the ternary fit (v1 = v2) compete as well: they
+    never have a smaller error, but they can tie with it, and ties go to
+    the smaller v1.
     """
     x = as_float_vector(x)
     mags = np.sort(np.abs(x))
     if mags[-1] == 0.0:
         return _zero_quantization(x.size, 2, "ls2")
-    candidates = []
-    for _, m_lo, m_hi in _conditional_mean_roots(mags, with_lower=True):
-        candidates.append((0.5 * (m_lo + m_hi), 0.5 * (m_hi - m_lo)))
-    candidates.append((float(np.mean(mags)), 0.0))
-    v_ternary = _best_ternary_level(mags)
-    candidates.append((v_ternary, v_ternary))
-    best = None
-    for v1, v2 in candidates:
-        key = (_split_mse(mags, v1, v2), v1)
-        if best is None or key < best[0]:
-            best = (key, (v1, v2))
-    v1, v2 = best[1]
-    levels = np.array([v1, v2])
+    cuts, ls2_gain, ternary_gain = _cut_gains(mags)
+    candidates = (
+        _fixed_points(mags, cuts, ls2_gain, True)
+        + [(float(np.mean(mags)), 0.0)]
+        + _fixed_points(mags, cuts, ternary_gain, False)
+    )
+    levels = np.array(_best_levels(mags, candidates))
     return ScaledBinaryQuantization(
         levels=levels, planes=foldable_planes(x, levels), method="ls2"
     )

@@ -15,9 +15,11 @@ iteration cannot stall on an orthogonal start.
 
 ``energy_profile`` reports how the squared Frobenius norm of |X| splits
 across the leading singular directions, which is what makes a rank-1 scale
-field a good or bad fit for a given matrix.  ``channel_mean_rank1`` is the
-cheap per-row alternative (each row scaled by its mean magnitude) expressed
-in the same factorization form.
+field a good or bad fit for a given matrix.  It needs singular values but
+no vectors, so it takes them all from one dense symmetric eigensolve of the
+smaller Gram matrix of |X| rather than from power iteration.
+``channel_mean_rank1`` is the cheap per-row alternative (each row scaled by
+its mean magnitude) expressed in the same factorization form.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .rng import SplitMix64
 from .tensor import as_float_matrix
 
 _REL_SLACK = 1e-9
@@ -201,12 +202,13 @@ def channel_mean_rank1(x) -> Rank1Factorization:
     )
 
 
-def energy_profile(x, top_r: int, tol: float = 1e-12, max_iters: int = 10_000) -> EnergyProfile:
+def energy_profile(x, top_r: int) -> EnergyProfile:
     """Energy captured by the leading ``top_r`` singular directions of |X|.
 
-    Uses explicit Gram-matrix power iteration with deflation.  Round 0
-    starts from the column-sum vector; later rounds start from a seeded
-    pseudorandom vector so deflated directions are explored reproducibly.
+    The energies are the squared singular values of |X|, computed as the
+    eigenvalues of the smaller Gram matrix of |X| by one dense symmetric
+    eigensolve, taken in descending order and clamped at 0 (rounding can
+    leave eigenvalues past the numerical rank slightly negative).
     """
     x = as_float_matrix(x)
     m, n = x.shape
@@ -219,49 +221,12 @@ def energy_profile(x, top_r: int, tol: float = 1e-12, max_iters: int = 10_000) -
         return EnergyProfile(
             singular_energies=energies, total=0.0, ratio_1=0.0, remainder=0.0
         )
-    gram = mags.T @ mags
-    start_rng = SplitMix64(0x5EED)
-    energies = []
-    for round_idx in range(top_r):
-        if round_idx == 0:
-            v = mags.sum(axis=0)
-        else:
-            v = start_rng.normal(n)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            v = np.full(n, 1.0 / np.sqrt(n))
-        else:
-            v = v / norm
-        # Directions past the numerical rank leave only rounding noise in
-        # the deflated Gram matrix; treat energies below this floor as zero
-        # instead of asking the relative test to settle on noise.
-        floor = total * 64.0 * np.finfo(np.float64).eps
-        lam = 0.0
-        lam_prev = None
-        for _ in range(max_iters):
-            y = gram @ v
-            lam = float(v @ y)
-            if lam <= floor:
-                lam = max(lam, 0.0)
-                break
-            norm = float(np.linalg.norm(y))
-            v = y / norm
-            if lam_prev is not None and abs(lam - lam_prev) <= tol * lam:
-                break
-            lam_prev = lam
-        else:
-            raise ConvergenceError(
-                f"deflated power iteration round {round_idx} did not settle "
-                f"in {max_iters} iterations",
-                partial=tuple(energies),
-            )
-        energies.append(lam)
-        gram = gram - lam * np.outer(v, v)
-    partial = float(np.sum(energies))
-    ratio = min(max(energies[0] / total, 0.0), 1.0)
+    gram = mags.T @ mags if n <= m else mags @ mags.T
+    energies = np.maximum(np.linalg.eigvalsh(gram)[::-1][:top_r], 0.0)
+    ratio = min(max(float(energies[0]) / total, 0.0), 1.0)
     return EnergyProfile(
         singular_energies=tuple(energies),
         total=total,
         ratio_1=ratio,
-        remainder=total - partial,
+        remainder=total - float(np.sum(energies)),
     )

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written along a different route than the
 library code: eigenvalues come from a cyclic Jacobi sweep or a closed-form
-3x3 solution instead of power iteration, plane dots from pure-Python
-integer loops instead of popcounts, and the two-bit bound from a full cut
-enumeration instead of the fixed-point scan.
+3x3 solution instead of power iteration or LAPACK, plane dots from
+pure-Python integer loops instead of popcounts, and the two-bit bound from
+a full cut enumeration with direct residuals instead of the screened cut
+scan.
 """
 
 from __future__ import annotations

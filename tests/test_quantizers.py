@@ -264,11 +264,35 @@ def test_ls2_dominates_its_boundary_candidates(vector_battery):
         assert e2 <= et + tol
 
 
-finite_entries = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+@pytest.mark.parametrize(
+    "x, levels",
+    [
+        ([5.0, 5.0, 5.0], [2.5, 2.5]),
+        ([1e-9, 2e-9, 1.0, 2.0], [0.75, 0.75]),
+    ],
+)
+def test_ls2_ties_go_to_the_smaller_v1(x, levels):
+    # The ternary candidate ties with the two-means cut here and has the
+    # smaller v1.
+    assert quantize_ls2(x).levels.tolist() == levels
+
+
+# Repeated values and magnitudes far apart exercise run boundaries in the
+# cut scan and the scaling of its sums.
+tie_heavy_entries = st.sampled_from([0.0, 1e-300, -1e-300, 1.0, -1.0, 2.5, -2.5, 1e6, -1e6])
+two_plane_entries = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), tie_heavy_entries
+)
+# Half the smallest subnormal rounds to 0, so a vector of it has no positive
+# exact ternary level; the ternary property leaves subnormals out.
+ternary_entries = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=False),
+    tie_heavy_entries,
+)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(finite_entries, min_size=1, max_size=50))
+@given(st.lists(two_plane_entries, min_size=1, max_size=50))
 def test_ls2_property_beats_one_bit_and_folds(xs):
     x = np.asarray(xs, dtype=np.float64)
     q = quantize_ls2(x)
@@ -277,6 +301,23 @@ def test_ls2_property_beats_one_bit_and_folds(xs):
     e2 = mse(x, q)
     e1 = mse(x, quantize_ls1(x))
     assert e2 <= e1 + 1e-12 * max(1.0, e1)
+    bound = exhaustive_two_bit_mse(x)
+    assert e2 <= bound + 1e-9 * max(1.0, bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(ternary_entries, min_size=1, max_size=50))
+def test_ternary_property_fixed_point_and_grid_bound(xs):
+    x = np.asarray(xs, dtype=np.float64)
+    assert ternary_fixed_point_holds(x)
+    q = quantize_ternary(x)
+    assert is_foldable(x, q)
+    base = mse(x, q)
+    grid = np.linspace(0.0, float(np.max(np.abs(x))), 4001)
+    # The grid oracle expands (|x| - 2v)^2, so its rounding scales with the
+    # mean square of x rather than with the error.
+    slack = 1e-12 * max(1.0, float(np.mean(x * x)))
+    assert ternary_best_on_grid(x, grid) >= base - slack
 
 
 # --- equivariance ---------------------------------------------------------
