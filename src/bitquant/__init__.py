@@ -24,19 +24,14 @@ from .analysis import (
 )
 from .bitkernel import (
     WORD_BITS,
-    BitPlane,
     PackedQuantizedVector,
     QuantizedDotResult,
     kernel_bench,
     load_packed,
-    pack,
     pack_quantization,
-    plane_dot,
-    popcount_words,
     quantized_dot,
     quantized_matmul,
     save_packed,
-    unpack,
     unpack_quantization,
 )
 from .errors import (
@@ -88,7 +83,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngleMetric",
-    "BitPlane",
     "ConditionCurve",
     "ConvergenceError",
     "DimensionOverflowError",
@@ -127,11 +121,8 @@ __all__ = [
     "normal_condition_curve",
     "normal_split_mse",
     "objective",
-    "pack",
     "pack_quantization",
     "parse_method",
-    "plane_dot",
-    "popcount_words",
     "quantize_greedy",
     "quantize_lloyd",
     "quantize_ls1",
@@ -148,6 +139,5 @@ __all__ = [
     "save_tensor",
     "sign",
     "stats",
-    "unpack",
     "unpack_quantization",
 ]

@@ -1,17 +1,21 @@
-"""Bit-packed sign planes and XNor/popcount dot products.
+"""Bit-packed sign planes and XOR/popcount products.
 
-A sign plane of n entries packs into ceil(n / 64) little-endian 64-bit
-words: +1 becomes a set bit, -1 a clear bit, element j living at bit
-j mod 64 of word j div 64.  Padding bits beyond n are kept at zero.
+A quantized vector of k planes over n elements packs into a (k, n_words)
+array of little-endian 64-bit words, n_words = ceil(n / 64): in row i, +1
+becomes a set bit and -1 a clear bit, element j living at bit j mod 64 of
+word j div 64.  Padding bits beyond n are zero; PackedQuantizedVector
+checks this on construction.
 
-The inner product of two +-1 planes then reduces to bit arithmetic: XNOR
-marks positions where the planes agree, so
+The inner product of two +-1 planes then reduces to bit arithmetic: XOR
+marks the positions where the planes differ, so
 
-    dot(a, b) = 2 * popcount(xnor(a, b) restricted to n bits) - n
+    dot(a, b) = n - 2 * popcount(a XOR b)
 
-which is exact integer arithmetic.  A k_a-bit by k_w-bit quantized dot
-product expands into the k_a * k_w plane dot products, combined with the
-level products in float64.  Popcounts use numpy's native bitwise_count.
+which is exact integer arithmetic.  Zero padding in both operands XORs to
+zero, so no tail mask is needed.  A k_a-bit by k_w-bit quantized product
+expands into the k_a * k_w plane products (cross terms), combined with the
+level products in float64.  One kernel computes the cross terms of a stack
+of rows against a stack of columns; a single dot is its 1 x 1 call.
 
 The BQT1 container serializes a quantized vector: magic ``BQT1``, plane
 count as a 32-bit unsigned integer, element count as a 64-bit unsigned
@@ -21,6 +25,7 @@ little-endian.
 
 from __future__ import annotations
 
+import operator
 import struct
 import time
 from dataclasses import dataclass
@@ -40,6 +45,9 @@ WORD_BITS = 64
 _BQT_MAGIC = b"BQT1"
 _MAX_ELEMENTS = 1 << 40
 _MAX_PLANES = 64
+# Size of the XOR temporary of one row block in the product kernel; a
+# block holds at least one row.
+_BLOCK_BYTES = 1 << 20
 
 
 def _n_words(n_bits: int) -> int:
@@ -55,104 +63,89 @@ def _tail_mask(n_bits: int) -> np.uint64:
 
 
 @dataclass(frozen=True)
-class BitPlane:
-    """A +-1 plane packed into little-endian uint64 words."""
-
-    words: np.ndarray
-    n_bits: int
-
-    def __post_init__(self):
-        words = np.ascontiguousarray(self.words, dtype=np.uint64)
-        if self.n_bits < 1:
-            raise ValueError("a plane needs at least one bit")
-        if words.ndim != 1 or words.size != _n_words(self.n_bits):
-            raise ValueError(
-                f"expected {_n_words(self.n_bits)} words for {self.n_bits} bits"
-            )
-        if words[-1] & ~_tail_mask(self.n_bits):
-            raise ValueError("padding bits beyond n_bits must be zero")
-        words.setflags(write=False)
-        object.__setattr__(self, "words", words)
-
-
-def pack(plane) -> BitPlane:
-    """Pack a +-1 vector into a :class:`BitPlane`."""
-    arr = np.asarray(plane)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("expected a nonempty 1-D sign vector")
-    if not np.all((arr == 1) | (arr == -1)):
-        raise ValueError("plane entries must be +1 or -1")
-    bits = (arr > 0).astype(np.uint8)
-    padded = np.zeros(_n_words(arr.size) * WORD_BITS, dtype=np.uint8)
-    padded[: arr.size] = bits
-    packed = np.packbits(padded, bitorder="little")
-    return BitPlane(words=packed.view(np.dtype("<u8")), n_bits=int(arr.size))
-
-
-def unpack(bp: BitPlane) -> np.ndarray:
-    """Recover the +-1 int8 vector from a packed plane."""
-    as_bytes = bp.words.astype("<u8", copy=False).view(np.uint8)
-    bits = np.unpackbits(as_bytes, bitorder="little")[: bp.n_bits]
-    return (2 * bits.astype(np.int8) - 1).astype(np.int8)
-
-
-def popcount_words(words: np.ndarray) -> int:
-    """Total set bits across a uint64 array."""
-    return int(np.bitwise_count(words).sum(dtype=np.int64))
-
-
-def plane_dot(a: BitPlane, b: BitPlane) -> int:
-    """Exact inner product of two +-1 planes via XNOR and popcount."""
-    if a.n_bits != b.n_bits:
-        raise ValueError(f"length mismatch: {a.n_bits} vs {b.n_bits}")
-    agree = ~(a.words ^ b.words)
-    agree[-1] &= _tail_mask(a.n_bits)
-    return 2 * popcount_words(agree) - a.n_bits
-
-
-@dataclass(frozen=True)
 class PackedQuantizedVector:
-    """Quantization levels plus bit-packed sign planes."""
+    """Quantization levels plus bit-packed sign planes.
+
+    ``levels`` is a (k,) float64 array of finite nonnegative scalars,
+    ``words`` a C-contiguous (k, ceil(n / 64)) uint64 array whose row i packs
+    sign plane i, and ``n`` the element count.
+    """
 
     levels: np.ndarray
-    planes: tuple
+    words: np.ndarray
+    n: int
 
     def __post_init__(self):
         levels = np.ascontiguousarray(self.levels, dtype=np.float64)
-        planes = tuple(self.planes)
-        if levels.ndim != 1 or levels.size != len(planes) or not planes:
+        words = np.ascontiguousarray(self.words, dtype=np.uint64)
+        n = operator.index(self.n)
+        if n < 1:
+            raise ValueError("a packed vector needs at least one element")
+        if levels.ndim != 1 or levels.size < 1:
             raise ValueError("need one level per plane, at least one plane")
+        if words.shape != (levels.size, _n_words(n)):
+            raise ValueError(
+                f"expected words of shape ({levels.size}, {_n_words(n)}) "
+                f"for {levels.size} planes of {n} bits"
+            )
         if not np.all(np.isfinite(levels)) or np.any(levels < 0):
             raise ValueError("levels must be finite and nonnegative")
-        widths = {p.n_bits for p in planes}
-        if len(widths) != 1:
-            raise ValueError("all planes must cover the same elements")
+        if np.any(words[:, -1] & ~_tail_mask(n)):
+            raise ValueError("padding bits beyond n must be zero")
         levels.setflags(write=False)
+        words.setflags(write=False)
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "planes", planes)
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "n", n)
 
     @property
     def k(self) -> int:
         return int(self.levels.size)
 
-    @property
-    def n(self) -> int:
-        return int(self.planes[0].n_bits)
-
 
 def pack_quantization(q: ScaledBinaryQuantization) -> PackedQuantizedVector:
     """Bit-pack the planes of a scaled binary quantization."""
-    return PackedQuantizedVector(
-        levels=q.levels, planes=tuple(pack(row) for row in q.planes)
-    )
+    bits = np.zeros((q.k, _n_words(q.n) * WORD_BITS), dtype=np.uint8)
+    bits[:, : q.n] = q.planes > 0
+    words = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    return PackedQuantizedVector(levels=q.levels, words=words, n=q.n)
 
 
 def unpack_quantization(pq: PackedQuantizedVector) -> np.ndarray:
-    """Reconstruct the float64 vector sum(level_i * plane_i)."""
-    out = np.zeros(pq.n, dtype=np.float64)
-    for level, plane in zip(pq.levels, pq.planes):
-        out += level * unpack(plane).astype(np.float64)
-    return out
+    """Reconstruct the float64 vector sum(level_i * plane_i).
+
+    This is the expression of ``quantizers.reconstruct``, so unpacking a
+    packed quantization gives its reconstruction bit for bit.
+    """
+    as_bytes = pq.words.astype("<u8", copy=False).view(np.uint8)
+    bits = np.unpackbits(as_bytes, axis=1, count=pq.n, bitorder="little")
+    return pq.levels @ (2.0 * bits - 1.0)
+
+
+def _products(a_words, a_levels, b_words, b_levels, n: int):
+    """Cross terms and values of m stacked rows against p stacked columns.
+
+    ``a_words`` is (m, ka, n_words) with levels (m, ka), ``b_words`` is
+    (p, kw, n_words) with levels (p, kw).  Returns the int64 cross terms
+    ``cross[r, i, c, j]``, the product of plane i of row r with plane j of
+    column c, and the (m, p) float64 values.  Each value sums
+    ``(la_i * lb_j) * cross_ij`` over (i, j) in row-major order, so it does
+    not depend on m, p or the row blocking.
+    """
+    m, ka, n_words = a_words.shape
+    p, kw, _ = b_words.shape
+    cross = np.empty((m, ka, p, kw), dtype=np.int64)
+    step = max(1, _BLOCK_BYTES // (ka * p * kw * n_words * 8))
+    cols = b_words[None, None]
+    for start in range(0, m, step):
+        rows = a_words[start : start + step, :, None, None, :]
+        counts = np.bitwise_count(rows ^ cols).sum(axis=-1, dtype=np.int64)
+        cross[start : start + step] = n - 2 * counts
+    values = np.zeros((m, p))
+    for i in range(ka):
+        for j in range(kw):
+            values += (a_levels[:, i, None] * b_levels[None, :, j]) * cross[:, i, :, j]
+    return cross, values
 
 
 @dataclass(frozen=True)
@@ -168,25 +161,23 @@ def quantized_dot(a: PackedQuantizedVector, b: PackedQuantizedVector) -> Quantiz
 
     ``cross_terms[i, j]`` is the exact integer product of plane i of ``a``
     with plane j of ``b``; the value accumulates level_a[i] * level_b[j] *
-    cross_terms[i, j] in float64, summed in row-major order.
+    cross_terms[i, j] in float64, summed in row-major order.  This is the
+    1 x 1 case of :func:`quantized_matmul`.
     """
     if a.n != b.n:
         raise ValueError(f"length mismatch: {a.n} vs {b.n}")
-    cross = np.empty((a.k, b.k), dtype=np.int64)
-    for i, pa in enumerate(a.planes):
-        for j, pb in enumerate(b.planes):
-            cross[i, j] = plane_dot(pa, pb)
-    value = float(np.sum(a.levels[:, None] * b.levels[None, :] * cross))
-    return QuantizedDotResult(value=value, cross_terms=cross)
+    cross, values = _products(
+        a.words[None], a.levels[None], b.words[None], b.levels[None], a.n
+    )
+    return QuantizedDotResult(value=float(values[0, 0]), cross_terms=cross[0, :, 0, :])
 
 
 def quantized_matmul(rows, cols) -> np.ndarray:
     """Matrix product of quantized row vectors against quantized columns.
 
-    Entry (i, j) equals ``quantized_dot(rows[i], cols[j]).value`` exactly;
-    the plane products are batched over columns per row for speed, then each
-    entry's value is combined with the same float64 expression the scalar
-    path uses.
+    Entry (i, j) equals ``quantized_dot(rows[i], cols[j]).value`` exactly:
+    both run the same kernel, whose per-entry arithmetic does not depend on
+    how many rows and columns it is given.
     """
     rows = list(rows)
     cols = list(cols)
@@ -199,26 +190,14 @@ def quantized_matmul(rows, cols) -> np.ndarray:
         raise ValueError("rows must share element count and plane count")
     if any(c.n != n or c.k != kw for c in cols):
         raise ValueError("columns must share element count and plane count")
-    n_words = _n_words(n)
-    mask = _tail_mask(n)
-    col_words = np.empty((len(cols), kw, n_words), dtype=np.uint64)
-    col_levels = np.empty((len(cols), kw), dtype=np.float64)
-    for j, c in enumerate(cols):
-        col_levels[j] = c.levels
-        for w, plane in enumerate(c.planes):
-            col_words[j, w] = plane.words
-    out = np.empty((len(rows), len(cols)), dtype=np.float64)
-    for i, r in enumerate(rows):
-        row_words = np.stack([p.words for p in r.planes])
-        agree = ~(row_words[:, None, None, :] ^ col_words[None, :, :, :])
-        agree[..., -1] &= mask
-        counts = np.bitwise_count(agree).sum(axis=-1, dtype=np.int64)
-        cross = 2 * counts - n  # (ka, n_cols, kw)
-        for j in range(len(cols)):
-            out[i, j] = float(
-                np.sum(r.levels[:, None] * col_levels[j][None, :] * cross[:, j, :])
-            )
-    return out
+    _, values = _products(
+        np.stack([r.words for r in rows]),
+        np.stack([r.levels for r in rows]),
+        np.stack([c.words for c in cols]),
+        np.stack([c.levels for c in cols]),
+        n,
+    )
+    return values
 
 
 def kernel_bench(n: int, ka: int, kw: int, repetitions: int = 200) -> dict:
@@ -236,8 +215,8 @@ def kernel_bench(n: int, ka: int, kw: int, repetitions: int = 200) -> dict:
     rng = SplitMix64(n * 1000003 + ka * 1009 + kw)
     def random_packed(k):
         levels = np.sort(rng.uniform_open01(k))[::-1]
-        planes = tuple(pack(rng.signs(n)) for _ in range(k))
-        return PackedQuantizedVector(levels=levels, planes=planes)
+        planes = np.stack([rng.signs(n) for _ in range(k)])
+        return pack_quantization(ScaledBinaryQuantization(levels, planes, "greedy"))
 
     a = random_packed(ka)
     b = random_packed(kw)
@@ -271,9 +250,7 @@ def kernel_bench(n: int, ka: int, kw: int, repetitions: int = 200) -> dict:
 def save_packed(pq: PackedQuantizedVector, path) -> None:
     """Write a packed quantized vector to ``path`` in BQT1 format."""
     header = struct.pack("<4sIQ", _BQT_MAGIC, pq.k, pq.n)
-    body = pq.levels.astype("<f8").tobytes()
-    for plane in pq.planes:
-        body += plane.words.astype("<u8").tobytes()
+    body = pq.levels.astype("<f8").tobytes() + pq.words.astype("<u8").tobytes()
     Path(path).write_bytes(header + body)
 
 
@@ -298,12 +275,9 @@ def load_packed(path) -> PackedQuantizedVector:
     levels = np.frombuffer(blob, dtype="<f8", count=k, offset=16).copy()
     if not np.all(np.isfinite(levels)) or np.any(levels < 0):
         raise NonFiniteValueError(f"{path}: levels must be finite and nonnegative")
-    planes = []
-    offset = 16 + 8 * k
-    for i in range(k):
-        words = np.frombuffer(blob, dtype="<u8", count=n_words, offset=offset).copy()
-        if words[-1] & ~_tail_mask(n):
-            raise MalformedHeaderError(f"{path}: plane {i} has nonzero padding bits")
-        planes.append(BitPlane(words=words, n_bits=int(n)))
-        offset += 8 * n_words
-    return PackedQuantizedVector(levels=levels, planes=tuple(planes))
+    words = np.frombuffer(blob, dtype="<u8", count=k * n_words, offset=16 + 8 * k)
+    words = words.reshape(k, n_words)
+    dirty = np.flatnonzero(words[:, -1] & ~_tail_mask(n))
+    if dirty.size:
+        raise MalformedHeaderError(f"{path}: plane {dirty[0]} has nonzero padding bits")
+    return PackedQuantizedVector(levels=levels, words=words, n=int(n))

@@ -277,10 +277,6 @@ def cmd_gemm_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.n < 64 or args.n % 64 != 0:
-        raise _UsageError("--n must be a positive multiple of 64")
-    if args.ka < 1 or args.kw < 1 or args.reps < 1:
-        raise _UsageError("--ka, --kw, and --reps must be positive")
     _emit(kernel_bench(args.n, args.ka, args.kw, args.reps))
     return 0
 

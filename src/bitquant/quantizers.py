@@ -73,15 +73,17 @@ class ScaledBinaryQuantization:
 
     def __post_init__(self):
         levels = np.ascontiguousarray(self.levels, dtype=np.float64)
-        planes = np.ascontiguousarray(self.planes, dtype=np.int8)
+        planes = np.asarray(self.planes)
         if levels.ndim != 1 or levels.size < 1:
             raise ValueError("levels must be a nonempty 1-D array")
         if not np.all(np.isfinite(levels)) or np.any(levels < 0):
             raise ValueError("levels must be finite and nonnegative")
         if planes.ndim != 2 or planes.shape[0] != levels.size or planes.shape[1] < 1:
             raise ValueError("planes must have shape (len(levels), n)")
+        # Checked before the int8 cast, which would truncate 1.5 to 1.
         if not np.all(np.abs(planes) == 1):
             raise ValueError("plane entries must be +1 or -1")
+        planes = np.ascontiguousarray(planes, dtype=np.int8)
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method in _ORDERED_METHODS and np.any(np.diff(levels) > 0):
@@ -302,8 +304,17 @@ def _fixed_points(mags: np.ndarray, cuts, gain, with_lower: bool):
 
 
 def _best_levels(mags: np.ndarray, candidates) -> tuple[float, float]:
-    """The candidate with the smallest realized error; ties to smaller v1."""
-    return min(candidates, key=lambda c: (_split_mse(mags, *c), c[0]))
+    """The candidate with the smallest realized error; ties to smaller v1.
+
+    Errors are scored on the magnitudes and levels times 2^e, which brings
+    the largest magnitude into [0.5, 1).  Scaling by a power of two is exact
+    and leaves every comparison as it was, but keeps the squares from
+    overflowing for magnitudes near the float64 maximum and from
+    underflowing for subnormal ones.
+    """
+    e = -int(np.frexp(mags[-1])[1])
+    scaled = np.ldexp(mags, e)
+    return min(candidates, key=lambda c: (_split_mse(scaled, *np.ldexp(c, e)), c[0]))
 
 
 def _zero_quantization(n: int, k: int, method: str) -> ScaledBinaryQuantization:

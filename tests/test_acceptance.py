@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 from bitquant import (
-    PackedQuantizedVector,
+    ScaledBinaryQuantization,
     SplitMix64,
     SyntheticSpec,
     angle,
     energy_profile,
     generate,
     objective,
-    pack,
     pack_quantization,
     quantize_greedy,
     quantize_ls1,
@@ -191,8 +190,8 @@ def test_criterion_7_packed_kernels_match_float(capsys):
 
         def draw(k):
             levels = np.sort(rng.uniform_open01(k) * 2.0)[::-1].copy()
-            planes = tuple(pack(rng.signs(n)) for _ in range(k))
-            return PackedQuantizedVector(levels=levels, planes=planes)
+            signs = [rng.signs(n) for _ in range(k)]
+            return pack_quantization(ScaledBinaryQuantization(levels, np.stack(signs), "greedy"))
 
         a = draw(ka)
         b = draw(kw)

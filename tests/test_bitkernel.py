@@ -6,23 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitquant import (
-    BitPlane,
     DimensionOverflowError,
     MalformedHeaderError,
     NonFiniteValueError,
     PackedQuantizedVector,
+    ScaledBinaryQuantization,
     SplitMix64,
     kernel_bench,
     load_packed,
-    pack,
     pack_quantization,
-    plane_dot,
-    popcount_words,
     quantize_greedy,
     quantized_dot,
     quantized_matmul,
     save_packed,
-    unpack,
     unpack_quantization,
 )
 
@@ -31,11 +27,30 @@ from oracles import brute_pm1_dot
 sign_lists = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=300)
 
 
-def random_packed(n, k, seed):
+def random_quantization(n, k, seed):
     rng = SplitMix64(seed)
     levels = np.sort(rng.uniform_open01(k) * 3.0)[::-1].copy()
-    planes = tuple(pack(rng.signs(n)) for _ in range(k))
-    return PackedQuantizedVector(levels=levels, planes=planes)
+    planes = np.stack([rng.signs(n) for _ in range(k)])
+    return ScaledBinaryQuantization(levels, planes, "greedy")
+
+
+def random_packed(n, k, seed):
+    return pack_quantization(random_quantization(n, k, seed))
+
+
+def packed_planes(*planes):
+    """Unit-level packed vector with one plane per sign list."""
+    return pack_quantization(ScaledBinaryQuantization(np.ones(len(planes)), planes, "greedy"))
+
+
+def plane_dot(a, b):
+    """Integer product of two sign lists through the k=1 packed dot."""
+    return int(quantized_dot(packed_planes(a), packed_planes(b)).cross_terms[0, 0])
+
+
+def plane(pq, i):
+    """Plane i of ``pq`` as a unit-level one-plane vector."""
+    return PackedQuantizedVector(levels=[1.0], words=pq.words[i : i + 1], n=pq.n)
 
 
 # --- packing --------------------------------------------------------------
@@ -43,23 +58,23 @@ def random_packed(n, k, seed):
 
 @given(sign_lists)
 def test_pack_unpack_round_trip(signs):
-    bp = pack(signs)
-    assert bp.n_bits == len(signs)
-    assert bp.words.size == (len(signs) + 63) // 64
-    assert unpack(bp).tolist() == signs
+    pq = packed_planes(signs)
+    assert pq.n == len(signs)
+    assert pq.words.shape == (1, (len(signs) + 63) // 64)
+    assert unpack_quantization(pq).tolist() == signs
 
 
 @given(sign_lists, st.randoms(use_true_random=False))
 def test_plane_dot_matches_integer_oracle(signs, rnd):
     other = [rnd.choice([-1, 1]) for _ in signs]
-    assert plane_dot(pack(signs), pack(other)) == brute_pm1_dot(signs, other)
+    assert plane_dot(signs, other) == brute_pm1_dot(signs, other)
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 256])
 def test_plane_dot_word_boundaries(n):
-    ones = pack([1] * n)
+    ones = [1] * n
     assert plane_dot(ones, ones) == n
-    alt = pack([1 if i % 2 == 0 else -1 for i in range(n)])
+    alt = [1 if i % 2 == 0 else -1 for i in range(n)]
     assert plane_dot(ones, alt) == (n + 1) // 2 - n // 2
     assert plane_dot(alt, alt) == n
 
@@ -67,27 +82,28 @@ def test_plane_dot_word_boundaries(n):
 def test_pack_rejects_bad_entries():
     for bad in ([0, 1], [2], [1.5, -1.0], [], [[1, -1]]):
         with pytest.raises(ValueError):
-            pack(bad)
+            packed_planes(bad)
 
 
 def test_bitplane_rejects_nonzero_padding():
+    def vector(words, n):
+        words = np.array(words, dtype=np.uint64)
+        return PackedQuantizedVector(levels=np.ones(len(words)), words=words, n=n)
+
     with pytest.raises(ValueError):
-        BitPlane(words=np.array([0xFF], dtype=np.uint64), n_bits=4)
+        vector([[0xFF]], 4)
     # A full word is fine.
-    BitPlane(words=np.array([0xFFFFFFFFFFFFFFFF], dtype=np.uint64), n_bits=64)
+    vector([[0xFFFFFFFFFFFFFFFF]], 64)
     with pytest.raises(ValueError):
-        BitPlane(words=np.array([1, 0], dtype=np.uint64), n_bits=64)
+        vector([[1, 0]], 64)
+    # Only the second plane is dirty.
+    with pytest.raises(ValueError):
+        vector([[0x0F], [0x1F]], 4)
 
 
 def test_plane_dot_length_mismatch():
     with pytest.raises(ValueError):
-        plane_dot(pack([1, 1]), pack([1, 1, 1]))
-
-
-def test_popcount_words_matches_python():
-    rng = SplitMix64(55)
-    words = rng.words(40)
-    assert popcount_words(words) == sum(bin(int(w)).count("1") for w in words)
+        plane_dot([1, 1], [1, 1, 1])
 
 
 # --- packed vectors -------------------------------------------------------
@@ -104,14 +120,19 @@ def test_pack_quantization_round_trip(vector_battery):
 
 
 def test_packed_vector_validation():
-    p2 = pack([1, -1])
-    p3 = pack([1, -1, 1])
+    p2 = packed_planes([1, -1]).words
+    p3 = packed_planes([1, -1, 1]).words
+    # Planes of two and three elements: the third bit is padding at n=2.
     with pytest.raises(ValueError):
-        PackedQuantizedVector(levels=np.array([1.0, 0.5]), planes=(p2, p3))
+        PackedQuantizedVector(levels=np.array([1.0, 0.5]), words=np.concatenate([p2, p3]), n=2)
     with pytest.raises(ValueError):
-        PackedQuantizedVector(levels=np.array([-1.0]), planes=(p2,))
+        PackedQuantizedVector(levels=np.array([-1.0]), words=p2, n=2)
     with pytest.raises(ValueError):
-        PackedQuantizedVector(levels=np.array([1.0, 0.5]), planes=(p2,))
+        PackedQuantizedVector(levels=np.array([1.0, 0.5]), words=p2, n=2)
+    with pytest.raises(ValueError):
+        PackedQuantizedVector(levels=np.array([1.0]), words=p2, n=65)
+    with pytest.raises(ValueError):
+        PackedQuantizedVector(levels=np.array([1.0]), words=p2, n=0)
 
 
 # --- quantized dot products -----------------------------------------------
@@ -135,7 +156,7 @@ def test_cross_terms_are_the_plane_dots():
     result = quantized_dot(a, b)
     for i in range(2):
         for j in range(3):
-            assert result.cross_terms[i, j] == plane_dot(a.planes[i], b.planes[j])
+            assert result.cross_terms[i, j] == quantized_dot(plane(a, i), plane(b, j)).cross_terms[0, 0]
     assert np.all(np.abs(result.cross_terms) <= 100)
 
 
@@ -144,13 +165,18 @@ def test_quantized_dot_length_mismatch():
         quantized_dot(random_packed(10, 1, 1), random_packed(11, 1, 1))
 
 
-def test_matmul_is_bitwise_the_scalar_path():
-    rows = [random_packed(150, 3, seed=100 + i) for i in range(5)]
-    cols = [random_packed(150, 2, seed=200 + j) for j in range(4)]
+# 20 rows of 256 two-plane columns over 1024 elements span three row blocks
+# of the kernel; 3 x 3 planes give nine terms per entry.
+@pytest.mark.parametrize(
+    "m,p,n,ka,kw", [(5, 4, 150, 3, 2), (20, 256, 1024, 2, 2), (6, 5, 200, 3, 3)]
+)
+def test_matmul_is_bitwise_the_scalar_path(m, p, n, ka, kw):
+    rows = [random_packed(n, ka, seed=100 + i) for i in range(m)]
+    cols = [random_packed(n, kw, seed=200 + j) for j in range(p)]
     out = quantized_matmul(rows, cols)
-    assert out.shape == (5, 4)
-    for i in range(5):
-        for j in range(4):
+    assert out.shape == (m, p)
+    for i in range(m):
+        for j in range(p):
             assert out[i, j] == quantized_dot(rows[i], cols[j]).value
 
 
@@ -200,14 +226,20 @@ def test_kernel_bench_validation():
 
 @pytest.mark.parametrize("n,k", [(1, 1), (64, 2), (65, 3), (300, 2)])
 def test_bqt_round_trip_exact(tmp_path, n, k):
-    pq = random_packed(n, k, seed=n + k)
+    q = random_quantization(n, k, seed=n + k)
+    pq = pack_quantization(q)
     path = tmp_path / "q.bqt"
     save_packed(pq, path)
     back = load_packed(path)
     assert np.array_equal(back.levels, pq.levels)
     assert back.n == pq.n and back.k == pq.k
-    for p_in, p_out in zip(pq.planes, back.planes):
-        assert np.array_equal(p_in.words, p_out.words)
+    assert np.array_equal(back.words, pq.words)
+    padding = -n % 64
+    expected = struct.pack("<4sIQ", b"BQT1", k, n) + q.levels.astype("<f8").tobytes()
+    for signs in q.planes:
+        bits = np.concatenate([signs > 0, np.zeros(padding, dtype=bool)])
+        expected += np.packbits(bits, bitorder="little").tobytes()
+    assert path.read_bytes() == expected
 
 
 def test_bqt_malformed_files(tmp_path):
@@ -262,7 +294,14 @@ def test_bqt_rejects_bad_levels_and_padding(tmp_path):
     stored = struct.unpack_from("<Q", corrupt, first_plane_last_word)[0]
     struct.pack_into("<Q", corrupt, first_plane_last_word, stored | (1 << 63))
     path.write_bytes(bytes(corrupt))
-    with pytest.raises(MalformedHeaderError):
+    with pytest.raises(MalformedHeaderError, match="plane 0 has nonzero padding bits"):
+        load_packed(path)
+
+    corrupt = good.copy()
+    second_plane_last_word = first_plane_last_word + 16
+    struct.pack_into("<Q", corrupt, second_plane_last_word, 1 << 6)
+    path.write_bytes(bytes(corrupt))
+    with pytest.raises(MalformedHeaderError, match="plane 1 has nonzero padding bits"):
         load_packed(path)
 
 

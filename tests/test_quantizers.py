@@ -323,7 +323,9 @@ def test_ternary_property_fixed_point_and_grid_bound(xs):
 # --- equivariance ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("factor", [0.25, 0.5, 2.0, 4.0])
+@pytest.mark.parametrize(
+    "factor", [0.25, 0.5, 2.0, 4.0, 2.0**600, 2.0**-600, 2.0**1000, 2.0**-1000]
+)
 def test_power_of_two_scaling_is_exact(factor):
     for fit in (quantize_ls1, quantize_ls2, quantize_ternary):
         for seed in (31, 32):
