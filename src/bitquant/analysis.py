@@ -17,23 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .quantizers import (
-    LloydQuantizer,
-    _split_mse,
-    objective,
-    quantize_greedy,
-    quantize_lloyd,
-    quantize_ls1,
-    quantize_ls2,
-    quantize_ternary,
-    reconstruct,
-)
-from .tensor import SyntheticSpec, as_float_vector, generate
+from .quantizers import _FAMILIES, LloydQuantizer, _split_mse, objective, reconstruct
+from .tensor import as_float_vector, generate
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT2 = math.sqrt(2.0)
@@ -77,20 +67,17 @@ def parse_method(token: str, ks=()) -> list[tuple[str, int]]:
     without one, expand over ``ks``.  ``gf`` is accepted as an alias for
     ``greedy``.
     """
-    tok = token.strip().lower()
-    fixed = {"ls1": 1, "ls2": 2, "ternary": 2}
-    if tok in fixed:
-        return [(tok, fixed[tok])]
-    family = tok
-    suffix = None
-    if "-" in tok:
-        family, _, tail = tok.partition("-")
-        suffix = tail
+    family, dash, suffix = token.strip().lower().partition("-")
     if family == "gf":
         family = "greedy"
-    if family not in ("greedy", "lloyd"):
+    if family not in _FAMILIES:
         raise ValueError(f"unknown method {token!r}")
-    if suffix is not None:
+    fixed = _FAMILIES[family][1]
+    if fixed is not None:
+        if dash:
+            raise ValueError(f"unknown method {token!r}")
+        return [(family, fixed)]
+    if dash:
         k = int(suffix)
         if k < 1:
             raise ValueError(f"bit width in {token!r} must be positive")
@@ -98,20 +85,6 @@ def parse_method(token: str, ks=()) -> list[tuple[str, int]]:
     if not ks:
         raise ValueError(f"method {token!r} needs a bit width (e.g. {token}-2)")
     return [(family, int(k)) for k in ks]
-
-
-def _fit(family: str, k: int, x: np.ndarray):
-    if family == "ls1":
-        return quantize_ls1(x)
-    if family == "ls2":
-        return quantize_ls2(x)
-    if family == "ternary":
-        return quantize_ternary(x)
-    if family == "greedy":
-        return quantize_greedy(x, k)
-    if family == "lloyd":
-        return quantize_lloyd(x, k)
-    raise ValueError(f"unknown method family {family!r}")
 
 
 @dataclass(frozen=True)
@@ -152,7 +125,7 @@ def run_sweep(specs, methods, ks=()) -> SweepReport:
         x = generate(spec)
         for family, k in expanded:
             try:
-                q = _fit(family, k, x)
+                q = _FAMILIES[family][0](x, k)
                 mse = objective(x, q).mse
                 recon = reconstruct(q)
                 try:
@@ -181,9 +154,6 @@ def run_sweep(specs, methods, ks=()) -> SweepReport:
     return SweepReport(rows=tuple(rows), failures=tuple(failures))
 
 
-_CSV_HEADER = "method,k,distribution,n,seed,mse,angle_degrees,levels"
-
-
 def emit_report(report: SweepReport, path, fmt: str = "csv") -> None:
     """Write a sweep report to ``path`` as CSV or JSON.
 
@@ -192,7 +162,7 @@ def emit_report(report: SweepReport, path, fmt: str = "csv") -> None:
     """
     token = fmt.lower()
     if token == "csv":
-        lines = [_CSV_HEADER]
+        lines = [",".join(f.name for f in fields(SweepRow))]
         for r in report.rows:
             angle_field = "" if r.angle_degrees is None else format(r.angle_degrees, ".17g")
             levels_field = ";".join(format(v, ".17g") for v in r.levels)
@@ -203,21 +173,7 @@ def emit_report(report: SweepReport, path, fmt: str = "csv") -> None:
         Path(path).write_text("\n".join(lines) + "\n")
         return
     if token == "json":
-        payload = {
-            "rows": [
-                {
-                    "method": r.method,
-                    "k": r.k,
-                    "distribution": r.distribution,
-                    "n": r.n,
-                    "seed": r.seed,
-                    "mse": r.mse,
-                    "angle_degrees": r.angle_degrees,
-                    "levels": list(r.levels),
-                }
-                for r in report.rows
-            ]
-        }
+        payload = {"rows": [asdict(r) for r in report.rows]}
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
         return
     raise ValueError(f"unknown report format {fmt!r}")
@@ -282,10 +238,29 @@ def _refine_and_collect(vs, d_vals, d_at, describe):
     return found
 
 
-def _finish_curve(vs, lower, upper, average, intersections) -> ConditionCurve:
+def _condition_curve(vs, means, split_mse) -> ConditionCurve:
+    """Condition curve over the thresholds ``vs``.
+
+    ``means(v)`` returns the lower and upper group means at threshold v, the
+    lower one NaN when that group is empty; ``split_mse(v1, v2)`` scores the
+    levels that a threshold induces.
+    """
+
+    def levels(v: float) -> tuple[float, float]:
+        lo, hi = means(v)
+        lo = 0.0 if math.isnan(lo) else lo
+        return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+    def describe(v: float) -> Intersection:
+        return Intersection(v=v, objective=split_mse(*levels(v)))
+
+    lower, upper = np.array([means(v) for v in vs]).T.copy()
+    average = 0.5 * (np.nan_to_num(lower) + upper)
+    intersections = _refine_and_collect(
+        vs, average - vs, lambda v: levels(v)[0] - v, describe
+    )
     if intersections:
-        best = min(intersections, key=lambda s: (s.objective, s.v))
-        optimum = best.v
+        optimum = min(intersections, key=lambda s: (s.objective, s.v)).v
     else:
         optimum = float("nan")
     for arr in (vs, lower, upper, average):
@@ -313,31 +288,12 @@ def condition_curve(x, grid: int) -> ConditionCurve:
     prefix = np.concatenate(([0.0], np.cumsum(mags)))
     suffix = np.concatenate((np.cumsum(mags[::-1])[::-1], [0.0]))
 
-    def split_means(v: float) -> tuple[float, float]:
+    def means(v: float) -> tuple[float, float]:
         i = int(np.searchsorted(mags, v, side="right"))
-        lo = prefix[i] / i if i > 0 else 0.0
-        hi = suffix[i] / (n - i)
-        return lo, hi
+        return (prefix[i] / i if i > 0 else math.nan), suffix[i] / (n - i)
 
     vs = np.linspace(0.0, float(mags[-1]), grid + 2)[1:-1]
-    idx = np.searchsorted(mags, vs, side="right")
-    lower_eff = np.divide(prefix[idx], idx, out=np.zeros(vs.size), where=idx > 0)
-    upper = suffix[idx] / (n - idx)
-    average = 0.5 * (lower_eff + upper)
-    lower = np.where(idx > 0, lower_eff, np.nan)
-
-    def d_at(v: float) -> float:
-        lo, hi = split_means(v)
-        return 0.5 * (lo + hi) - v
-
-    def describe(v: float) -> Intersection:
-        lo, hi = split_means(v)
-        v1 = 0.5 * (lo + hi)
-        v2 = 0.5 * (hi - lo)
-        return Intersection(v=v, objective=_split_mse(mags, v1, v2))
-
-    intersections = _refine_and_collect(vs, average - vs, d_at, describe)
-    return _finish_curve(vs, lower, upper, average, intersections)
+    return _condition_curve(vs, means, lambda v1, v2: _split_mse(mags, v1, v2))
 
 
 def _normal_lower_mean(v: float) -> float:
@@ -385,19 +341,6 @@ def normal_condition_curve(grid: int, v_max: float = 4.0) -> ConditionCurve:
     if not v_max > 0:
         raise ValueError("v_max must be positive")
     vs = np.linspace(0.0, v_max, grid + 1)[1:]
-    lower = np.array([_normal_lower_mean(v) for v in vs])
-    upper = np.array([_normal_upper_mean(v) for v in vs])
-    average = 0.5 * (lower + upper)
-
-    def d_at(v: float) -> float:
-        return 0.5 * (_normal_lower_mean(v) + _normal_upper_mean(v)) - v
-
-    def describe(v: float) -> Intersection:
-        lo = _normal_lower_mean(v)
-        hi = _normal_upper_mean(v)
-        return Intersection(
-            v=v, objective=normal_split_mse(0.5 * (lo + hi), 0.5 * (hi - lo))
-        )
-
-    intersections = _refine_and_collect(vs, average - vs, d_at, describe)
-    return _finish_curve(vs, lower.copy(), upper, average, intersections)
+    return _condition_curve(
+        vs, lambda v: (_normal_lower_mean(v), _normal_upper_mean(v)), normal_split_mse
+    )

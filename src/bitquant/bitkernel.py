@@ -123,28 +123,29 @@ def unpack_quantization(pq: PackedQuantizedVector) -> np.ndarray:
 
 
 def _products(a_words, a_levels, b_words, b_levels, n: int):
-    """Cross terms and values of m stacked rows against p stacked columns.
+    """Values of m stacked rows against p stacked columns.
 
     ``a_words`` is (m, ka, n_words) with levels (m, ka), ``b_words`` is
-    (p, kw, n_words) with levels (p, kw).  Returns the int64 cross terms
-    ``cross[r, i, c, j]``, the product of plane i of row r with plane j of
-    column c, and the (m, p) float64 values.  Each value sums
+    (p, kw, n_words) with levels (p, kw).  Rows go through in blocks, so the
+    int64 cross terms ``cross[r, i, c, j]``, the product of plane i of row r
+    with plane j of column c, exist for one block at a time; the last
+    block's are returned with the (m, p) float64 values.  Each value sums
     ``(la_i * lb_j) * cross_ij`` over (i, j) in row-major order, so it does
     not depend on m, p or the row blocking.
     """
     m, ka, n_words = a_words.shape
     p, kw, _ = b_words.shape
-    cross = np.empty((m, ka, p, kw), dtype=np.int64)
     step = max(1, _BLOCK_BYTES // (ka * p * kw * n_words * 8))
     cols = b_words[None, None]
+    values = np.zeros((m, p))
     for start in range(0, m, step):
         rows = a_words[start : start + step, :, None, None, :]
-        counts = np.bitwise_count(rows ^ cols).sum(axis=-1, dtype=np.int64)
-        cross[start : start + step] = n - 2 * counts
-    values = np.zeros((m, p))
-    for i in range(ka):
-        for j in range(kw):
-            values += (a_levels[:, i, None] * b_levels[None, :, j]) * cross[:, i, :, j]
+        cross = n - 2 * np.bitwise_count(rows ^ cols).sum(axis=-1, dtype=np.int64)
+        block = values[start : start + step]
+        levels = a_levels[start : start + step]
+        for i in range(ka):
+            for j in range(kw):
+                block += (levels[:, i, None] * b_levels[None, :, j]) * cross[:, i, :, j]
     return cross, values
 
 

@@ -23,7 +23,6 @@ import sys
 import numpy as np
 
 from .analysis import (
-    _fit,
     condition_curve,
     emit_report,
     normal_condition_curve,
@@ -39,6 +38,7 @@ from .bitkernel import (
 )
 from .errors import ConvergenceError, TensorFileError
 from .quantizers import (
+    _FAMILIES,
     LloydQuantizer,
     lloyd_to_scaled_binary,
     objective,
@@ -104,7 +104,7 @@ def cmd_quantize(args) -> int:
     family, k = parsed[0]
     if args.bits is not None and args.bits != k:
         raise _UsageError(f"method {args.method!r} is {k}-bit, but --bits {args.bits} given")
-    q = _fit(family, k, x)
+    q = _FAMILIES[family][0](x, k)
     if isinstance(q, LloydQuantizer):
         # The Lloyd codebook is not a sum of sign planes; serialize the
         # closest k-plane form derived from its binary cluster codes.

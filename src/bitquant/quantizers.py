@@ -42,11 +42,6 @@ import numpy as np
 
 from .tensor import as_float_vector
 
-_METHODS = ("ls1", "ls2", "ternary", "greedy", "lloyd")
-# Methods whose constructors guarantee nonincreasing levels.  Greedy keeps
-# its levels in generation order, which residual fitting does not sort.
-_ORDERED_METHODS = ("ls1", "ls2", "ternary", "lloyd")
-
 
 def sign(values):
     """Sign with sign(0) = +1; +-1 as int8, matching the input shape."""
@@ -84,9 +79,11 @@ class ScaledBinaryQuantization:
         if not np.all(np.abs(planes) == 1):
             raise ValueError("plane entries must be +1 or -1")
         planes = np.ascontiguousarray(planes, dtype=np.int8)
-        if self.method not in _METHODS:
+        if self.method not in _FAMILIES:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method in _ORDERED_METHODS and np.any(np.diff(levels) > 0):
+        # Greedy keeps its levels in generation order, which residual
+        # fitting does not sort; every other family's are nonincreasing.
+        if self.method != "greedy" and np.any(np.diff(levels) > 0):
             raise ValueError(f"{self.method} levels must be nonincreasing")
         if self.method == "ternary":
             if levels.size != 2 or levels[0] != levels[1]:
@@ -471,3 +468,19 @@ def lloyd_to_scaled_binary(lq: LloydQuantizer) -> ScaledBinaryQuantization:
     return ScaledBinaryQuantization(
         levels=levels[order], planes=planes[order], method="lloyd"
     )
+
+
+# ---------------------------------------------------------------------------
+# Method families
+#
+# Each family's fit as a call (x, k), and its fixed plane count, or None when
+# the bit width is chosen per fit.  Container validation, method tokens,
+# sweeps and the command line all read this one table.
+
+_FAMILIES = {
+    "ls1": (lambda x, k: quantize_ls1(x), 1),
+    "ls2": (lambda x, k: quantize_ls2(x), 2),
+    "ternary": (lambda x, k: quantize_ternary(x), 2),
+    "greedy": (quantize_greedy, None),
+    "lloyd": (quantize_lloyd, None),
+}

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
+from .quantizers import sign
 from .tensor import as_float_matrix
 
 _REL_SLACK = 1e-9
@@ -137,7 +138,7 @@ def rank1_binary(x, tol: float = 1e-12, max_iters: int = 10_000) -> Rank1Factori
     :class:`ConvergenceError` with the best triple attached.
     """
     x = as_float_matrix(x)
-    signs = np.where(x < 0, -1, 1).astype(np.int8)
+    signs = sign(x)
     mags = np.abs(x)
     if not np.any(mags):
         sigma, u, v = _degenerate(x.shape)
@@ -187,7 +188,7 @@ def channel_mean_rank1(x) -> Rank1Factorization:
     the norm of a times sqrt(n).
     """
     x = as_float_matrix(x)
-    signs = np.where(x < 0, -1, 1).astype(np.int8)
+    signs = sign(x)
     m, n = x.shape
     a = np.mean(np.abs(x), axis=1)
     norm_a = float(np.linalg.norm(a))

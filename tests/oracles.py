@@ -3,9 +3,9 @@
 Everything here is deliberately written along a different route than the
 library code: eigenvalues come from a cyclic Jacobi sweep or a closed-form
 3x3 solution instead of power iteration or LAPACK, plane dots from
-pure-Python integer loops instead of popcounts, and the two-bit bound from
-a full cut enumeration with direct residuals instead of the screened cut
-scan.
+pure-Python integer loops instead of popcounts, and the two-bit and
+ternary bounds from a full cut enumeration or a level grid with direct
+residuals instead of the screened cut scan.
 """
 
 from __future__ import annotations
@@ -114,16 +114,11 @@ def ternary_best_on_grid(x, grid_points) -> float:
     """Smallest realized ternary MSE over a grid of candidate levels.
 
     For level v the realized reconstruction sends |x| >= v to 2v (ties up)
-    and the rest to 0.
+    and the rest to 0.  Each level is scored from its direct residuals, so
+    the rounding scales with the error rather than with the mean square of
+    x.
     """
     mags = np.sort(np.abs(np.asarray(x, dtype=np.float64)))
-    n = mags.size
-    sq = mags * mags
-    sq_prefix = np.concatenate(([0.0], np.cumsum(sq)))
-    sq_suffix = np.concatenate((np.cumsum(sq[::-1])[::-1], [0.0]))
-    m_suffix = np.concatenate((np.cumsum(mags[::-1])[::-1], [0.0]))
-    v = np.asarray(grid_points, dtype=np.float64)
-    idx = np.searchsorted(mags, v, side="left")
-    count_hi = n - idx
-    sse = sq_prefix[idx] + sq_suffix[idx] - 4.0 * v * m_suffix[idx] + 4.0 * v * v * count_hi
-    return float(np.min(sse)) / n
+    v = np.asarray(grid_points, dtype=np.float64)[:, None]
+    residuals = np.where(mags >= v, mags - 2.0 * v, mags)
+    return float(np.min(np.sum(residuals * residuals, axis=1))) / mags.size

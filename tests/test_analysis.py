@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import re
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,10 @@ from bitquant import (
     run_sweep,
 )
 
+from test_acceptance import FROZEN_LEVELS
+
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+ROOTS_TOOL = Path(__file__).resolve().parents[1] / "tools" / "population_roots.py"
 
 
 # --- angles ---------------------------------------------------------------
@@ -246,3 +252,26 @@ def test_empirical_curve_approaches_analytic_optimum():
     x = generate(SyntheticSpec("normal", 400_000, 10))
     emp = condition_curve(x, 300)
     assert emp.optimum == pytest.approx(0.981598821568, abs=5e-3)
+
+
+# --- population roots tool ------------------------------------------------
+
+
+def test_population_roots_tool_reprints_the_frozen_levels(capsys):
+    runpy.run_path(str(ROOTS_TOOL), run_name="__main__")
+    sections = re.split(r"^== (.+) ==$", capsys.readouterr().out, flags=re.M)[1:]
+    printed = {
+        "normal" if name == "standard normal" else name: {
+            "ls2": re.search(r"GLOBAL: v1=(\S+) v2=(\S+)", body).groups(),
+            "ternary": re.findall(r"ternary root: v=(\S+)", body),
+        }
+        for name, body in zip(sections[::2], sections[1::2])
+    }
+    expected = {
+        label: {
+            "ls2": tuple(format(v, ".12f") for v in levels["ls2"]),
+            "ternary": [format(levels["ternary"], ".12f")],
+        }
+        for label, levels in FROZEN_LEVELS.items()
+    }
+    assert printed == expected

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,20 @@ def test_matmul_shape_validation():
             [random_packed(10, 1, 1), random_packed(10, 2, 1)],
             [random_packed(10, 1, 1)],
         )
+
+
+def test_matmul_memory_is_bounded_by_a_row_block():
+    # 512 x 512 over 256 elements at 2 x 2 planes: holding every cross term
+    # at once would take 8 MiB on top of the 2 MiB output.
+    rows = [random_packed(256, 2, seed=500 + i) for i in range(512)]
+    cols = [random_packed(256, 2, seed=1500 + j) for j in range(512)]
+    tracemalloc.start()
+    try:
+        out = quantized_matmul(rows, cols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 3 * 2**20
 
 
 # --- benchmark harness ----------------------------------------------------

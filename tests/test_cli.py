@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from bitquant import load_packed, load_tensor, quantize_ls2, save_tensor
+from bitquant import ConvergenceError, load_packed, load_tensor, quantize_ls2, save_tensor
+from bitquant import cli
 from bitquant.cli import main
 
 
@@ -312,6 +313,22 @@ def test_energy_top_validation(tmp_path, capsys):
         capsys, "energy", "--in", str(x_path), "--top", "9", "--out", str(tmp_path / "e.json")
     )
     assert code == 1
+
+
+def test_energy_nonconvergence_exits_three(tmp_path, capsys, monkeypatch):
+    x_path = tmp_path / "m.fqt"
+    run(capsys, "gen", "--dist", "normal", "--shape", "5", "5", "--out", str(x_path))
+
+    def stalled(data):
+        raise ConvergenceError("power iteration did not settle in 0 iterations")
+
+    monkeypatch.setattr(cli, "rank1_binary", stalled)
+    out = tmp_path / "e.json"
+    code, stdout, stderr = run(capsys, "energy", "--in", str(x_path), "--out", str(out))
+    assert code == 3
+    assert stdout == ""
+    assert stderr == "bitquant: power iteration did not settle in 0 iterations\n"
+    assert not out.exists()
 
 
 # --- gemm-check and bench -------------------------------------------------

@@ -8,48 +8,28 @@ conditions used by the two-bit and ternary solvers,
     two-bit:  v = (E[|X| given |X| <= v] + E[|X| given |X| > v]) / 2
     ternary:  v =  E[|X| given |X| > v] / 2
 
-using closed-form conditional means (error functions for the normal,
-memoryless exponential tails for the Laplace) and bisection to 1e-13.  Each
-root is scored by the population mean squared error of the induced
-reconstruction so the global optimum is identified.  Standard library only;
-run `python3 tools/population_roots.py` and compare against the constants
-in tests/test_acceptance.py.
+using closed-form conditional means (error functions for the normal, taken
+from ``bitquant.analysis``; memoryless exponential tails for the Laplace)
+and the condition-curve root finder of ``bitquant.analysis`` on a grid over
+(0, 8].  Each root is scored by the population mean squared error of the
+induced reconstruction so the global optimum is identified.  Run
+
+    PYTHONPATH=src python3 tools/population_roots.py
+
+from the repository root and compare against the constants in
+tests/test_acceptance.py.
 """
 
 import math
 
-SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-SQRT2 = math.sqrt(2.0)
+import numpy as np
 
-
-# --- standard normal -------------------------------------------------------
-
-
-def normal_lower_mean(v):
-    den = math.erf(v / SQRT2)
-    if den == 0.0:
-        return 0.0
-    return SQRT_2_OVER_PI * (-math.expm1(-0.5 * v * v)) / den
-
-
-def normal_upper_mean(v):
-    den = math.erfc(v / SQRT2)
-    if den == 0.0:
-        return v
-    return SQRT_2_OVER_PI * math.exp(-0.5 * v * v) / den
-
-
-def normal_mse(v1, v2):
-    phi = math.exp(-0.5 * v1 * v1) / math.sqrt(2.0 * math.pi)
-    m0l = math.erf(v1 / SQRT2)
-    m1l = SQRT_2_OVER_PI * (-math.expm1(-0.5 * v1 * v1))
-    m2l = m0l - 2.0 * v1 * phi
-    m0h = math.erfc(v1 / SQRT2)
-    m1h = SQRT_2_OVER_PI * math.exp(-0.5 * v1 * v1)
-    m2h = m0h + 2.0 * v1 * phi
-    lo, hi = v1 - v2, v1 + v2
-    return (m2l - 2 * lo * m1l + lo * lo * m0l) + (m2h - 2 * hi * m1h + hi * hi * m0h)
-
+from bitquant.analysis import (
+    _normal_lower_mean,
+    _normal_upper_mean,
+    _refine_and_collect,
+    normal_split_mse,
+)
 
 # --- laplace, scale 1 (|X| is Exponential(1)) ------------------------------
 
@@ -80,35 +60,9 @@ def laplace_mse(v1, v2):
 # --- root finding ----------------------------------------------------------
 
 
-def bisect(g, lo, hi, iters=200):
-    glo = g(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if (gm > 0.0) == (glo > 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def roots(g, v_max=8.0, steps=16000):
-    found = []
-    prev_v = v_max / steps
-    prev_g = g(prev_v)
-    for i in range(2, steps + 1):
-        v = i * v_max / steps
-        cur = g(v)
-        if prev_g == 0.0:
-            found.append(prev_v)
-        elif prev_g * cur < 0.0:
-            found.append(bisect(g, prev_v, v))
-        prev_v, prev_g = v, cur
-    return found
+    vs = np.arange(1, steps + 1) * v_max / steps
+    return _refine_and_collect(vs, np.array([g(v) for v in vs]), g, float)
 
 
 def report(name, lower, upper, mse):
@@ -135,5 +89,5 @@ def report(name, lower, upper, mse):
 
 
 if __name__ == "__main__":
-    report("standard normal", normal_lower_mean, normal_upper_mean, normal_mse)
+    report("standard normal", _normal_lower_mean, _normal_upper_mean, normal_split_mse)
     report("laplace(1)", laplace_lower_mean, laplace_upper_mean, laplace_mse)
