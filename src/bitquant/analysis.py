@@ -22,7 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .quantizers import _FAMILIES, LloydQuantizer, _split_mse, objective, reconstruct
+from .quantizers import (
+    _FAMILIES,
+    LloydQuantizer,
+    _scale_exponent,
+    _split_mse,
+    objective,
+    reconstruct,
+)
 from .tensor import as_float_vector, generate
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -213,11 +220,12 @@ def _refine_and_collect(vs, d_vals, d_at, describe):
     """Locate sign changes of ``d_vals`` over the grid and refine each by
     bisection on ``d_at``; ``describe(v)`` yields the Intersection."""
     found = []
+    signs = np.sign(d_vals)
     for i in range(vs.size - 1):
         if d_vals[i] == 0.0:
             found.append(describe(float(vs[i])))
             continue
-        if d_vals[i] * d_vals[i + 1] < 0.0:
+        if signs[i] * signs[i + 1] < 0.0:
             lo, hi = float(vs[i]), float(vs[i + 1])
             f_lo = d_at(lo)
             for _ in range(200):
@@ -238,12 +246,14 @@ def _refine_and_collect(vs, d_vals, d_at, describe):
     return found
 
 
-def _condition_curve(vs, means, split_mse) -> ConditionCurve:
+def _condition_curve(vs, means, split_mse, e: int = 0) -> ConditionCurve:
     """Condition curve over the thresholds ``vs``.
 
     ``means(v)`` returns the lower and upper group means at threshold v, the
     lower one NaN when that group is empty; ``split_mse(v1, v2)`` scores the
-    levels that a threshold induces.
+    levels that a threshold induces.  All three describe data times 2^e: the
+    optimum is chosen on those objectives, and the curve reports thresholds
+    and means times 2^-e and objectives times 2^-2e.
     """
 
     def levels(v: float) -> tuple[float, float]:
@@ -254,30 +264,28 @@ def _condition_curve(vs, means, split_mse) -> ConditionCurve:
     def describe(v: float) -> Intersection:
         return Intersection(v=v, objective=split_mse(*levels(v)))
 
-    lower, upper = np.array([means(v) for v in vs]).T.copy()
+    lower, upper = np.array([means(v) for v in vs]).T
     average = 0.5 * (np.nan_to_num(lower) + upper)
-    intersections = _refine_and_collect(
-        vs, average - vs, lambda v: levels(v)[0] - v, describe
-    )
-    if intersections:
-        optimum = min(intersections, key=lambda s: (s.objective, s.v)).v
-    else:
-        optimum = float("nan")
-    for arr in (vs, lower, upper, average):
+    arrays = [np.ldexp(arr, -e) for arr in (vs, lower, upper, average)]
+    for arr in arrays:
         arr.setflags(write=False)
-    return ConditionCurve(
-        v=vs,
-        lower_mean=lower,
-        upper_mean=upper,
-        average=average,
-        intersections=tuple(intersections),
-        optimum=optimum,
-    )
+    found = _refine_and_collect(vs, average - vs, lambda v: levels(v)[0] - v, describe)
+    optimum = min(found, key=lambda s: (s.objective, s.v)).v if found else math.nan
+    with np.errstate(over="ignore"):
+        intersections = tuple(
+            Intersection(v=math.ldexp(s.v, -e), objective=float(np.ldexp(s.objective, -2 * e)))
+            for s in found
+        )
+    return ConditionCurve(*arrays, intersections, math.ldexp(optimum, -e))
 
 
 def condition_curve(x, grid: int) -> ConditionCurve:
     """Empirical condition curve of a sample over ``grid`` interior
-    thresholds strictly between 0 and max |x|."""
+    thresholds strictly between 0 and max |x|.
+
+    The curve is built on the magnitudes times 2^e, with max |x| 2^e in
+    [0.5, 1), so it is exactly equivariant under power-of-two scaling of x.
+    """
     x = as_float_vector(x)
     if grid < 2:
         raise ValueError("grid must be at least 2")
@@ -285,6 +293,8 @@ def condition_curve(x, grid: int) -> ConditionCurve:
     n = mags.size
     if mags[-1] == 0.0:
         raise ValueError("condition curve is undefined for the zero vector")
+    e = _scale_exponent(mags[-1])
+    np.ldexp(mags, e, out=mags)
     prefix = np.concatenate(([0.0], np.cumsum(mags)))
     suffix = np.concatenate((np.cumsum(mags[::-1])[::-1], [0.0]))
 
@@ -293,7 +303,7 @@ def condition_curve(x, grid: int) -> ConditionCurve:
         return (prefix[i] / i if i > 0 else math.nan), suffix[i] / (n - i)
 
     vs = np.linspace(0.0, float(mags[-1]), grid + 2)[1:-1]
-    return _condition_curve(vs, means, lambda v1, v2: _split_mse(mags, v1, v2))
+    return _condition_curve(vs, means, lambda v1, v2: _split_mse(mags, v1, v2), e)
 
 
 def _normal_lower_mean(v: float) -> float:

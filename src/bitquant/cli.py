@@ -50,12 +50,14 @@ from .rng import SplitMix64
 from .tensor import SyntheticSpec, generate, load_tensor, save_tensor
 
 
-class _UsageError(Exception):
-    """Bad flag combination or parameter value (exit 1)."""
-
-
 class _DataError(Exception):
     """Input data violates a shape or content contract (exit 2)."""
+
+
+# Exit code of a failed subcommand, by the first matching type; others propagate.
+_EXIT_CODES = (
+    (_DataError, 2), (TensorFileError, 2), (OSError, 2), (ConvergenceError, 3), (ValueError, 1)
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,7 +79,7 @@ def _parse_dist(token: str) -> tuple[str, tuple]:
     """Parse a distribution token like ``normal`` or ``laplace(1)``."""
     m = _DIST_RE.fullmatch(token.strip().lower())
     if not m:
-        raise _UsageError(f"cannot parse distribution {token!r}")
+        raise ValueError(f"cannot parse distribution {token!r}")
     name, inner = m.group(1), m.group(2)
     if name == "standard-normal":
         name = "normal"
@@ -86,24 +88,15 @@ def _parse_dist(token: str) -> tuple[str, tuple]:
         try:
             params = tuple(float(p) for p in inner.split(","))
         except ValueError as exc:
-            raise _UsageError(f"bad parameter in distribution {token!r}") from exc
+            raise ValueError(f"bad parameter in distribution {token!r}") from exc
     return name, params
 
 
-def _load_vector(path, fmt=None) -> np.ndarray:
-    """Load a tensor and flatten it row-major into a vector."""
-    return load_tensor(path, fmt).reshape(-1)
-
-
 def cmd_quantize(args) -> int:
-    x = _load_vector(args.input, args.format)
-    try:
-        parsed = parse_method(args.method, ks=(args.bits,) if args.bits else ())
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    family, k = parsed[0]
+    x = load_tensor(args.input, args.format).reshape(-1)
+    family, k = parse_method(args.method, ks=(args.bits,) if args.bits else ())[0]
     if args.bits is not None and args.bits != k:
-        raise _UsageError(f"method {args.method!r} is {k}-bit, but --bits {args.bits} given")
+        raise ValueError(f"method {args.method!r} is {k}-bit, but --bits {args.bits} given")
     q = _FAMILIES[family][0](x, k)
     if isinstance(q, LloydQuantizer):
         # The Lloyd codebook is not a sum of sign planes; serialize the
@@ -128,11 +121,11 @@ def cmd_quantize(args) -> int:
 def cmd_gen(args) -> int:
     name, params = _parse_dist(args.dist)
     if (args.n is None) == (args.shape is None):
-        raise _UsageError("exactly one of --n or --shape is required")
+        raise ValueError("exactly one of --n or --shape is required")
     if args.shape is not None:
         m, n = args.shape
         if m < 1 or n < 1:
-            raise _UsageError("--shape dimensions must be positive")
+            raise ValueError("--shape dimensions must be positive")
         total = m * n
     else:
         total = args.n
@@ -157,12 +150,12 @@ def cmd_analyze(args) -> int:
     for token in args.spec:
         head, sep, tail = token.rpartition(":")
         if not sep:
-            raise _UsageError(f"spec {token!r} must look like dist:n")
+            raise ValueError(f"spec {token!r} must look like dist:n")
         name, params = _parse_dist(head)
         try:
             n = int(tail)
         except ValueError as exc:
-            raise _UsageError(f"bad element count in spec {token!r}") from exc
+            raise ValueError(f"bad element count in spec {token!r}") from exc
         for s in range(args.seeds):
             specs.append(
                 SyntheticSpec(
@@ -171,7 +164,7 @@ def cmd_analyze(args) -> int:
             )
     methods = [m for m in args.methods.split(",") if m]
     if not methods:
-        raise _UsageError("--methods must name at least one method")
+        raise ValueError("--methods must name at least one method")
     ks = tuple(int(b) for b in args.bits.split(",")) if args.bits else ()
     report = run_sweep(specs, methods, ks)
     for failure in report.failures:
@@ -183,15 +176,15 @@ def cmd_analyze(args) -> int:
 
 def cmd_curve(args) -> int:
     if (args.input is None) == (args.dist is None):
-        raise _UsageError("exactly one of --in or --dist is required")
+        raise ValueError("exactly one of --in or --dist is required")
     if args.grid < 2:
-        raise _UsageError("--grid must be at least 2")
+        raise ValueError("--grid must be at least 2")
     if args.dist is not None:
-        if args.dist.strip().lower() not in ("normal", "standard-normal"):
-            raise _UsageError("analytic curves support only the normal distribution")
+        if _parse_dist(args.dist) != ("normal", ()):
+            raise ValueError("analytic curves support only the normal distribution")
         curve = normal_condition_curve(args.grid)
     else:
-        x = _load_vector(args.input)
+        x = load_tensor(args.input).reshape(-1)
         if not np.any(x):
             raise _DataError("condition curve is undefined for all-zero data")
         curve = condition_curve(x, args.grid)
@@ -224,7 +217,7 @@ def cmd_energy(args) -> int:
     m, n = data.shape
     top = args.top if args.top is not None else min(8, m, n)
     if not 1 <= top <= min(m, n):
-        raise _UsageError(f"--top must be in [1, {min(m, n)}]")
+        raise ValueError(f"--top must be in [1, {min(m, n)}]")
     profile = energy_profile(data, top)
     best = rank1_binary(data)
     channel = channel_mean_rank1(data)
@@ -248,9 +241,9 @@ def cmd_energy(args) -> int:
 def cmd_gemm_check(args) -> int:
     m, n, p = args.m, args.n, args.p
     if min(m, n, p) < 1:
-        raise _UsageError("matrix dimensions must be positive")
+        raise ValueError("matrix dimensions must be positive")
     if args.ka < 1 or args.kw < 1:
-        raise _UsageError("plane counts must be positive")
+        raise ValueError("plane counts must be positive")
     a = SplitMix64(args.seed).normal(m * n).reshape(m, n)
     b = SplitMix64(args.seed + 1).normal(n * p).reshape(n, p)
     rows = [pack_quantization(quantize_greedy(a[i], args.ka)) for i in range(m)]
@@ -352,24 +345,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except _UsageError as exc:
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(f"bitquant: {exc}", file=sys.stderr)
-        return 1
-    except _DataError as exc:
-        print(f"bitquant: {exc}", file=sys.stderr)
-        return 2
-    except TensorFileError as exc:
-        print(f"bitquant: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"bitquant: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"bitquant: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"bitquant: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -300,16 +300,23 @@ def _fixed_points(mags: np.ndarray, cuts, gain, with_lower: bool):
     return accepted
 
 
+def _scale_exponent(top) -> int:
+    """The e that brings a positive ``top`` into [0.5, 1) as top * 2^e.
+
+    Scaling data by 2^e is exact and leaves every comparison as it was, but
+    keeps squares and products of the data from overflowing for magnitudes
+    near the float64 maximum and from underflowing for tiny ones.
+    """
+    return -int(np.frexp(top)[1])
+
+
 def _best_levels(mags: np.ndarray, candidates) -> tuple[float, float]:
     """The candidate with the smallest realized error; ties to smaller v1.
 
     Errors are scored on the magnitudes and levels times 2^e, which brings
-    the largest magnitude into [0.5, 1).  Scaling by a power of two is exact
-    and leaves every comparison as it was, but keeps the squares from
-    overflowing for magnitudes near the float64 maximum and from
-    underflowing for subnormal ones.
+    the largest magnitude into [0.5, 1) (see :func:`_scale_exponent`).
     """
-    e = -int(np.frexp(mags[-1])[1])
+    e = _scale_exponent(mags[-1])
     scaled = np.ldexp(mags, e)
     return min(candidates, key=lambda c: (_split_mse(scaled, *np.ldexp(c, e)), c[0]))
 

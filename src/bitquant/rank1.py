@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .quantizers import sign
+from .quantizers import _scale_exponent, sign
 from .tensor import as_float_matrix
 
 _REL_SLACK = 1e-9
@@ -135,14 +135,19 @@ def rank1_binary(x, tol: float = 1e-12, max_iters: int = 10_000) -> Rank1Factori
     singular triple of |X|, found by power iteration on the Gram operator.
     Convergence is declared when the Rayleigh quotient changes by less than
     ``tol`` relative to its value; running out of iterations raises
-    :class:`ConvergenceError` with the best triple attached.
+    :class:`ConvergenceError` with the best triple attached.  The iteration
+    runs on |X| times 2^e, with max |X| 2^e in [0.5, 1), so the result is
+    exactly equivariant under power-of-two scaling of X.
     """
     x = as_float_matrix(x)
     signs = sign(x)
     mags = np.abs(x)
-    if not np.any(mags):
+    top = mags.max()
+    if top == 0.0:
         sigma, u, v = _degenerate(x.shape)
         return Rank1Factorization(sigma=sigma, u=u, v=v, signs=signs)
+    e = _scale_exponent(top)
+    np.ldexp(mags, e, out=mags)
 
     v = mags.sum(axis=0)
     v = v / np.linalg.norm(v)
@@ -159,18 +164,21 @@ def rank1_binary(x, tol: float = 1e-12, max_iters: int = 10_000) -> Rank1Factori
     else:
         raise ConvergenceError(
             f"power iteration did not settle in {max_iters} iterations",
-            partial=_build_triple(mags, v, signs),
+            partial=_build_triple(mags, v, signs, e),
         )
-    return _build_triple(mags, v, signs)
+    return _build_triple(mags, v, signs, e)
 
 
-def _build_triple(mags, v, signs) -> Rank1Factorization:
+def _build_triple(mags, v, signs, e) -> Rank1Factorization:
+    """The triple of the unit vector ``v``, where ``mags`` is |X| times 2^e."""
     y = mags @ v
-    sigma = float(np.linalg.norm(y))
-    if sigma == 0.0:
+    norm_y = float(np.linalg.norm(y))
+    if norm_y == 0.0:
         sigma, u, v = _degenerate(mags.shape)
         return Rank1Factorization(sigma=sigma, u=u, v=v, signs=signs)
-    u = y / sigma
+    with np.errstate(over="ignore"):
+        sigma = float(np.ldexp(norm_y, -e))
+    u = y / norm_y
     # Rounding can leave harmless -1e-17 entries in an otherwise nonnegative
     # eigenvector; clamp rather than fail validation.
     u = np.maximum(u, 0.0)
@@ -185,18 +193,24 @@ def channel_mean_rank1(x) -> Rank1Factorization:
 
     Row i is scaled by mean |row i|; that scale column a and the constant
     column 1 form the rank-1 field a 1^T = sigma u v^T with sigma equal to
-    the norm of a times sqrt(n).
+    the norm of a times sqrt(n).  The means are taken on |X| times 2^e, as
+    in :func:`rank1_binary`.
     """
     x = as_float_matrix(x)
     signs = sign(x)
     m, n = x.shape
-    a = np.mean(np.abs(x), axis=1)
-    norm_a = float(np.linalg.norm(a))
-    if norm_a == 0.0:
+    mags = np.abs(x)
+    top = mags.max()
+    if top == 0.0:
         sigma, u, v = _degenerate(x.shape)
         return Rank1Factorization(sigma=sigma, u=u, v=v, signs=signs)
+    e = _scale_exponent(top)
+    a = np.mean(np.ldexp(mags, e, out=mags), axis=1)
+    norm_a = float(np.linalg.norm(a))
+    with np.errstate(over="ignore"):
+        sigma = float(np.ldexp(norm_a * np.sqrt(n), -e))
     return Rank1Factorization(
-        sigma=norm_a * np.sqrt(n),
+        sigma=sigma,
         u=a / norm_a,
         v=np.full(n, 1.0 / np.sqrt(n)),
         signs=signs,
@@ -209,25 +223,31 @@ def energy_profile(x, top_r: int) -> EnergyProfile:
     The energies are the squared singular values of |X|, computed as the
     eigenvalues of the smaller Gram matrix of |X| by one dense symmetric
     eigensolve, taken in descending order and clamped at 0 (rounding can
-    leave eigenvalues past the numerical rank slightly negative).
+    leave eigenvalues past the numerical rank slightly negative).  They are
+    computed on |X| times 2^e, as in :func:`rank1_binary`, and mapped back
+    by 2^-2e, so they underflow or overflow only where the true values do.
     """
     x = as_float_matrix(x)
     m, n = x.shape
     if not 1 <= top_r <= min(m, n):
         raise ValueError(f"top_r must be in [1, {min(m, n)}]")
     mags = np.abs(x)
-    total = float(np.sum(mags * mags))
-    if total == 0.0:
+    top = mags.max()
+    if top == 0.0:
         energies = (0.0,) * top_r
         return EnergyProfile(
             singular_energies=energies, total=0.0, ratio_1=0.0, remainder=0.0
         )
+    e = _scale_exponent(top)
+    np.ldexp(mags, e, out=mags)
+    total = float(np.sum(mags * mags))
     gram = mags.T @ mags if n <= m else mags @ mags.T
     energies = np.maximum(np.linalg.eigvalsh(gram)[::-1][:top_r], 0.0)
     ratio = min(max(float(energies[0]) / total, 0.0), 1.0)
-    return EnergyProfile(
-        singular_energies=tuple(energies),
-        total=total,
-        ratio_1=ratio,
-        remainder=total - float(np.sum(energies)),
-    )
+    with np.errstate(over="ignore"):
+        return EnergyProfile(
+            singular_energies=tuple(np.ldexp(energies, -2 * e)),
+            total=float(np.ldexp(total, -2 * e)),
+            ratio_1=ratio,
+            remainder=float(np.ldexp(total - float(np.sum(energies)), -2 * e)),
+        )

@@ -207,7 +207,10 @@ def save_tensor(data, path, fmt: str | None = None) -> None:
     """Write a vector or matrix to ``path`` in FQT or CSV format.
 
     CSV accepts only 1-D data.  FQT stores elements as 32-bit floats, so
-    values are rounded to float32 precision on write.
+    values are rounded to float32 precision on write; a value that rounds
+    beyond the float32 range raises ValueError before anything is written,
+    since the loader would reject the infinity it becomes.  Values that
+    round to float32 subnormals or to 0 are kept.
     """
     token = _infer_format(path, fmt)
     arr = np.asarray(data, dtype=np.float64)
@@ -224,9 +227,13 @@ def save_tensor(data, path, fmt: str | None = None) -> None:
         Path(path).write_text(",".join(format(v, ".17g") for v in arr) + "\n")
         return
 
+    with np.errstate(over="ignore"):
+        payload = arr.astype("<f4")
+    if np.isinf(payload).any():
+        raise ValueError(f"{path}: a value lies beyond the float32 range of FQT")
     header = struct.pack("<4sI", _FQT_MAGIC, arr.ndim)
     header += b"".join(struct.pack("<Q", d) for d in arr.shape)
-    Path(path).write_bytes(header + arr.astype("<f4").tobytes())
+    Path(path).write_bytes(header + payload.tobytes())
 
 
 def load_tensor(path, fmt: str | None = None) -> np.ndarray:
@@ -267,7 +274,10 @@ def _load_fqt(path) -> np.ndarray:
 
 
 def _load_csv(path) -> np.ndarray:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise MalformedHeaderError(f"{path}: CSV text does not decode: {exc}") from exc
     tokens = [t.strip() for t in text.replace("\n", ",").split(",")]
     tokens = [t for t in tokens if t]
     if not tokens:

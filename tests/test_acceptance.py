@@ -8,7 +8,6 @@ numbers next to the verdicts.
 import time
 
 import numpy as np
-import pytest
 
 from bitquant import (
     ScaledBinaryQuantization,
@@ -22,7 +21,6 @@ from bitquant import (
     quantize_greedy,
     quantize_ls1,
     quantize_ls2,
-    quantize_lloyd,
     quantize_ternary,
     quantized_dot,
     quantized_matmul,

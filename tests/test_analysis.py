@@ -10,6 +10,7 @@ import pytest
 
 from bitquant import (
     AngleMetric,
+    SplitMix64,
     SweepReport,
     SyntheticSpec,
     angle,
@@ -22,6 +23,7 @@ from bitquant import (
     quantize_ls2,
     run_sweep,
 )
+from bitquant.analysis import _refine_and_collect
 
 from test_acceptance import FROZEN_LEVELS
 
@@ -203,6 +205,48 @@ def test_condition_curve_lower_mean_nan_below_smallest_magnitude():
     below = curve.v < 1.0
     assert np.all(np.isnan(curve.lower_mean[below]))
     assert not np.any(np.isnan(curve.upper_mean))
+
+
+@pytest.mark.parametrize("power", [600, -600])
+def test_condition_curve_power_of_two_scaling_is_exact(power):
+    x = generate(SyntheticSpec("normal", 2000, 3))
+    base = condition_curve(x, 50)
+    curve = condition_curve(np.ldexp(x, power), 50)
+    for name in ("v", "lower_mean", "upper_mean", "average"):
+        expected = np.ldexp(getattr(base, name), power)
+        assert np.array_equal(getattr(curve, name), expected, equal_nan=True)
+    assert curve.optimum == np.ldexp(base.optimum, power)
+    assert len(curve.intersections) == len(base.intersections) > 0
+    with np.errstate(over="ignore"):
+        for got, want in zip(curve.intersections, base.intersections):
+            assert got.v == np.ldexp(want.v, power)
+            # 2^1200 overflows to inf and 2^-1200 underflows to 0, as the
+            # true objectives do.
+            assert got.objective == np.ldexp(want.objective, 2 * power)
+
+
+@pytest.mark.parametrize("factor", [1e170, 1e-170])
+def test_condition_curve_optimum_at_extreme_scales(factor):
+    rng = SplitMix64(0)
+    # Three clusters give three intersections, and the best is the largest v.
+    clusters = np.concatenate(
+        [rng.normal(1000), 4 + 0.3 * rng.normal(300), 9 + 0.3 * rng.normal(200)]
+    )
+    for x in (generate(SyntheticSpec("normal", 2000, 3)), clusters):
+        base = condition_curve(x, 50)
+        curve = condition_curve(x * factor, 50)
+        assert len(curve.intersections) == len(base.intersections) > 0
+        assert curve.optimum == pytest.approx(base.optimum * factor, rel=1e-12)
+
+
+def test_sign_changes_are_found_at_any_scale():
+    vs = np.array([1.0, 2.0, 3.0])
+    for scale in (1e-170, 1.0, 1e170):
+
+        def d(v, scale=scale):
+            return (2.5 - v) * scale
+
+        assert _refine_and_collect(vs, np.array([d(v) for v in vs]), d, float) == [2.5]
 
 
 # --- analytic normal curves -----------------------------------------------

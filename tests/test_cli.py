@@ -71,6 +71,17 @@ def test_gen_usage_errors(tmp_path, capsys, argv, monkeypatch):
     assert code == 1
 
 
+def test_gen_beyond_float32_range_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "ln.fqt"
+    code, stdout, stderr = run(
+        capsys, "gen", "--dist", "lognormal(0,40)", "--n", "1000", "--seed", "1",
+        "--out", str(out),
+    )
+    assert code == 1
+    assert stdout == "" and "float32 range" in stderr
+    assert not out.exists()
+
+
 # --- quantize -------------------------------------------------------------
 
 
@@ -156,6 +167,14 @@ def test_quantize_errors(tmp_path, capsys):
         "--out", str(tmp_path / "q.bqt"),
     )
     assert code == 2
+
+    undecodable = tmp_path / "utf16.csv"
+    undecodable.write_bytes(b"\xff\xfe1\x00,\x002\x00")
+    code, _, stderr = run(
+        capsys, "quantize", "--in", str(undecodable), "--method", "ls1",
+        "--out", str(tmp_path / "q.bqt"),
+    )
+    assert code == 2 and "does not decode" in stderr
 
 
 # --- analyze --------------------------------------------------------------
@@ -246,6 +265,16 @@ def test_curve_analytic_normal(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "v,lower_mean,upper_mean,average"
     assert len(lines) == 401
+
+
+def test_curve_analytic_aliases(tmp_path, capsys):
+    outputs = []
+    for dist in ("normal", "standard-normal", "normal()"):
+        out = tmp_path / "curve.csv"
+        code, stdout, _ = run(capsys, "curve", "--dist", dist, "--grid", "20", "--out", str(out))
+        assert code == 0
+        outputs.append((stdout, out.read_bytes()))
+    assert outputs[1:] == outputs[:1] * 2
 
 
 def test_curve_empirical(tmp_path, capsys):

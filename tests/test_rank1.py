@@ -149,6 +149,43 @@ def test_convergence_error_carries_partial_result():
     assert partial.sigma > 0
 
 
+@pytest.mark.parametrize("power", [600, -600])
+def test_power_of_two_scaling_is_exact(power):
+    x = random_matrix(5, 6, 40)
+    scaled = np.ldexp(x, power)
+    for fit in (rank1_binary, channel_mean_rank1):
+        base, got = fit(x), fit(scaled)
+        assert got.sigma == np.ldexp(base.sigma, power)
+        assert np.array_equal(got.u, base.u) and np.array_equal(got.v, base.v)
+        assert np.array_equal(got.signs, base.signs)
+    with pytest.raises(ConvergenceError) as info:
+        rank1_binary(scaled, max_iters=1)
+    with pytest.raises(ConvergenceError) as base_info:
+        rank1_binary(x, max_iters=1)
+    assert info.value.partial.sigma == np.ldexp(base_info.value.partial.sigma, power)
+    base, got = energy_profile(x, 4), energy_profile(scaled, 4)
+    assert got.ratio_1 == base.ratio_1
+    with np.errstate(over="ignore"):
+        # 2^1200 overflows to inf and 2^-1200 underflows to 0, as the true
+        # energies do.
+        assert got.singular_energies == tuple(np.ldexp(base.singular_energies, 2 * power))
+        assert got.total == np.ldexp(base.total, 2 * power)
+        assert got.remainder == np.ldexp(base.remainder, 2 * power)
+
+
+@pytest.mark.parametrize("factor", [1e160, 1e-160])
+def test_extreme_scales_are_equivariant(factor):
+    x = random_matrix(5, 6, 40)
+    for fit in (rank1_binary, channel_mean_rank1):
+        base, got = fit(x), fit(x * factor)
+        assert got.sigma == pytest.approx(base.sigma * factor, rel=1e-12)
+        assert_close(got.u, base.u, abs_tol=1e-12)
+        assert_close(got.v, base.v, abs_tol=1e-12)
+    assert energy_profile(x * factor, 4).ratio_1 == pytest.approx(
+        energy_profile(x, 4).ratio_1, rel=1e-12
+    )
+
+
 # --- channel-mean baseline ------------------------------------------------
 
 

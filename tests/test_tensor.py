@@ -229,6 +229,19 @@ def test_save_rejects_non_finite_and_high_rank(tmp_path):
         save_tensor(np.zeros((2, 2, 2)), tmp_path / "x.fqt")
 
 
+def test_fqt_save_rejects_values_beyond_float32_range(tmp_path):
+    path = tmp_path / "x.fqt"
+    with pytest.raises(ValueError, match="float32 range"):
+        save_tensor([1.0, 1e39], path)
+    assert not path.exists()
+    # The largest float32 and values rounding to it, to a subnormal or to 0
+    # are written.
+    top = float(np.finfo(np.float32).max)
+    values = [top, -top * (1 + 2.0**-26), 1e-40, 1e-46]
+    save_tensor(values, path)
+    assert np.array_equal(load_tensor(path), np.asarray(values, dtype=np.float32))
+
+
 # --- CSV format -----------------------------------------------------------
 
 
@@ -267,6 +280,9 @@ def test_csv_malformed(tmp_path):
         load_tensor(path)
     path.write_text("1.0,nan")
     with pytest.raises(NonFiniteValueError):
+        load_tensor(path)
+    path.write_bytes(b"\xff\xfe1\x00,\x002\x00")
+    with pytest.raises(MalformedHeaderError, match="does not decode"):
         load_tensor(path)
 
 
