@@ -26,7 +26,6 @@ from .bitkernel import (
     WORD_BITS,
     PackedQuantizedVector,
     QuantizedDotResult,
-    kernel_bench,
     load_packed,
     pack_quantization,
     quantized_dot,
@@ -113,7 +112,6 @@ __all__ = [
     "foldable_planes",
     "generate",
     "is_foldable",
-    "kernel_bench",
     "load_packed",
     "load_tensor",
     "lloyd_to_scaled_binary",

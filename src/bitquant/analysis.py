@@ -85,7 +85,10 @@ def parse_method(token: str, ks=()) -> list[tuple[str, int]]:
             raise ValueError(f"unknown method {token!r}")
         return [(family, fixed)]
     if dash:
-        k = int(suffix)
+        try:
+            k = int(suffix)
+        except ValueError as exc:
+            raise ValueError(f"bit width in {token!r} must be an integer") from exc
         if k < 1:
             raise ValueError(f"bit width in {token!r} must be positive")
         return [(family, k)]
@@ -161,6 +164,17 @@ def run_sweep(specs, methods, ks=()) -> SweepReport:
     return SweepReport(rows=tuple(rows), failures=tuple(failures))
 
 
+def _finite(v):
+    """``v`` with every non-finite float replaced by None, for strict JSON."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {key: _finite(item) for key, item in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite(item) for item in v]
+    return v
+
+
 def emit_report(report: SweepReport, path, fmt: str = "csv") -> None:
     """Write a sweep report to ``path`` as CSV or JSON.
 
@@ -181,7 +195,7 @@ def emit_report(report: SweepReport, path, fmt: str = "csv") -> None:
         return
     if token == "json":
         payload = {"rows": [asdict(r) for r in report.rows]}
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(path).write_text(json.dumps(_finite(payload), indent=2, allow_nan=False) + "\n")
         return
     raise ValueError(f"unknown report format {fmt!r}")
 

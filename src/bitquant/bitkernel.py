@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import operator
 import struct
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,7 +38,6 @@ from .errors import (
     NonFiniteValueError,
 )
 from .quantizers import ScaledBinaryQuantization
-from .rng import SplitMix64
 
 WORD_BITS = 64
 _BQT_MAGIC = b"BQT1"
@@ -199,49 +197,6 @@ def quantized_matmul(rows, cols) -> np.ndarray:
         n,
     )
     return values
-
-
-def kernel_bench(n: int, ka: int, kw: int, repetitions: int = 200) -> dict:
-    """Time the packed dot product against its float dequantized twin.
-
-    ``n`` must be a positive multiple of 64 so both paths run on whole
-    words.  Returns a JSON-ready summary with per-operation nanoseconds.
-    """
-    if n < 1 or n % WORD_BITS != 0:
-        raise ValueError("n must be a positive multiple of 64")
-    if ka < 1 or kw < 1:
-        raise ValueError("plane counts must be positive")
-    if repetitions < 1:
-        raise ValueError("repetitions must be positive")
-    rng = SplitMix64(n * 1000003 + ka * 1009 + kw)
-    def random_packed(k):
-        levels = np.sort(rng.uniform_open01(k))[::-1]
-        planes = np.stack([rng.signs(n) for _ in range(k)])
-        return pack_quantization(ScaledBinaryQuantization(levels, planes, "greedy"))
-
-    a = random_packed(ka)
-    b = random_packed(kw)
-    xf = unpack_quantization(a)
-    wf = unpack_quantization(b)
-
-    start = time.perf_counter_ns()
-    for _ in range(repetitions):
-        quantized_dot(a, b)
-    packed_ns = (time.perf_counter_ns() - start) / repetitions
-
-    start = time.perf_counter_ns()
-    for _ in range(repetitions):
-        float(np.dot(xf, wf))
-    float_ns = (time.perf_counter_ns() - start) / repetitions
-
-    return {
-        "n": n,
-        "ka": ka,
-        "kw": kw,
-        "packed_ns_per_op": packed_ns,
-        "float_ns_per_op": float_ns,
-        "speedup": float_ns / packed_ns if packed_ns > 0 else float("inf"),
-    }
 
 
 # ---------------------------------------------------------------------------

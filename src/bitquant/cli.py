@@ -3,9 +3,8 @@
 Subcommands cover the full pipeline: ``gen`` writes synthetic tensors,
 ``quantize`` fits and serializes a quantization, ``analyze`` sweeps methods
 against data specs, ``curve`` samples conditional-mean curves, ``energy``
-profiles matrices for rank-1 binary quantization, ``gemm-check`` verifies
-the packed matmul against a float reference, and ``bench`` times the packed
-kernel.
+profiles matrices for rank-1 binary quantization, and ``gemm-check``
+verifies the packed matmul against a float reference.
 
 Summaries go to stdout as single-line JSON; data artifacts go to files.
 Exit codes: 0 success, 1 usage or parameter errors, 2 malformed or
@@ -23,6 +22,7 @@ import sys
 import numpy as np
 
 from .analysis import (
+    _finite,
     condition_curve,
     emit_report,
     normal_condition_curve,
@@ -30,7 +30,6 @@ from .analysis import (
     run_sweep,
 )
 from .bitkernel import (
-    kernel_bench,
     pack_quantization,
     quantized_matmul,
     save_packed,
@@ -69,7 +68,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload))
+    print(json.dumps(_finite(payload), allow_nan=False))
 
 
 _DIST_RE = re.compile(r"([a-z-]+)(?:\(([^()]*)\))?")
@@ -165,7 +164,10 @@ def cmd_analyze(args) -> int:
     methods = [m for m in args.methods.split(",") if m]
     if not methods:
         raise ValueError("--methods must name at least one method")
-    ks = tuple(int(b) for b in args.bits.split(",")) if args.bits else ()
+    try:
+        ks = tuple(int(b) for b in args.bits.split(",")) if args.bits else ()
+    except ValueError as exc:
+        raise ValueError(f"--bits {args.bits!r} must be comma-separated integers") from exc
     report = run_sweep(specs, methods, ks)
     for failure in report.failures:
         print(f"row failed: {failure}", file=sys.stderr)
@@ -203,7 +205,7 @@ def cmd_curve(args) -> int:
             "intersections": [
                 {"v": s.v, "objective": s.objective} for s in curve.intersections
             ],
-            "optimum": None if math.isnan(curve.optimum) else curve.optimum,
+            "optimum": curve.optimum,
             "out": args.out,
         }
     )
@@ -232,8 +234,7 @@ def cmd_energy(args) -> int:
         "channel_mean_residual_fro2": residual_fro2(data, channel),
     }
     with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(_finite(report), indent=2, allow_nan=False) + "\n")
     _emit({"ratio_1": profile.ratio_1, "out": args.out})
     return 0
 
@@ -267,11 +268,6 @@ def cmd_gemm_check(args) -> int:
         }
     )
     return 0 if ok else 2
-
-
-def cmd_bench(args) -> int:
-    _emit(kernel_bench(args.n, args.ka, args.kw, args.reps))
-    return 0
 
 
 def _build_parser() -> _Parser:
@@ -326,13 +322,6 @@ def _build_parser() -> _Parser:
     gc.add_argument("--kw", type=int, default=2)
     gc.add_argument("--seed", type=int, default=0)
     gc.set_defaults(handler=cmd_gemm_check)
-
-    b = sub.add_parser("bench", help="time the packed kernel against floats")
-    b.add_argument("--n", type=int, required=True)
-    b.add_argument("--ka", type=int, default=1)
-    b.add_argument("--kw", type=int, default=1)
-    b.add_argument("--reps", type=int, default=200)
-    b.set_defaults(handler=cmd_bench)
 
     return parser
 

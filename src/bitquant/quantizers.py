@@ -337,6 +337,10 @@ def quantize_ternary(x) -> ScaledBinaryQuantization:
     level satisfies v = mean(magnitudes strictly above v) / 2 exactly, with
     the mean taken as a numpy reduction over the ascending sorted magnitude
     slice.
+
+    On subnormal data the exact level may not be a float64: for ``[5e-324]``
+    v = 2**-1075 lies halfway between the floats 0 and 5e-324, which
+    reconstruct x with the same exact error |x|, so level 0 is optimal.
     """
     x = as_float_vector(x)
     mags = np.sort(np.abs(x))

@@ -83,8 +83,10 @@ def test_parse_method_errors():
         parse_method("greedy-0")
     with pytest.raises(ValueError):
         parse_method("greedy")  # no ks to expand over
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'greedy-x' must be an integer"):
         parse_method("greedy-x")
+    with pytest.raises(ValueError, match="'lloyd-2.5' must be an integer"):
+        parse_method("lloyd-2.5")
 
 
 # --- sweeps ---------------------------------------------------------------
@@ -151,6 +153,17 @@ def test_emit_report_json_round_trip(tmp_path):
     payload = json.loads(path.read_text())
     assert len(payload["rows"]) == 2
     assert payload["rows"][0]["mse"] == report.rows[0].mse
+
+
+def test_emit_report_json_writes_non_finite_as_null(tmp_path):
+    from dataclasses import replace
+
+    base_row = run_sweep([SyntheticSpec("normal", 8, 0)], ["ls1"]).rows[0]
+    row = replace(base_row, mse=math.inf, levels=(math.nan, 1.0))
+    path = tmp_path / "sweep.json"
+    emit_report(SweepReport(rows=(row,)), path, fmt="json")
+    parsed = json.loads(path.read_text())["rows"][0]
+    assert parsed["mse"] is None and parsed["levels"] == [None, 1.0]
 
 
 def test_emit_report_blank_angle_for_none(tmp_path):

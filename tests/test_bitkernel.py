@@ -13,7 +13,6 @@ from bitquant import (
     PackedQuantizedVector,
     ScaledBinaryQuantization,
     SplitMix64,
-    kernel_bench,
     load_packed,
     pack_quantization,
     quantize_greedy,
@@ -214,26 +213,6 @@ def test_matmul_memory_is_bounded_by_a_row_block():
     finally:
         tracemalloc.stop()
     assert peak - out.nbytes <= 3 * 2**20
-
-
-# --- benchmark harness ----------------------------------------------------
-
-
-def test_kernel_bench_report_shape():
-    report = kernel_bench(128, 2, 2, repetitions=5)
-    assert report["n"] == 128 and report["ka"] == 2 and report["kw"] == 2
-    assert report["packed_ns_per_op"] > 0
-    assert report["float_ns_per_op"] > 0
-    assert report["speedup"] > 0
-
-
-def test_kernel_bench_validation():
-    with pytest.raises(ValueError):
-        kernel_bench(100, 1, 1)
-    with pytest.raises(ValueError):
-        kernel_bench(64, 0, 1)
-    with pytest.raises(ValueError):
-        kernel_bench(64, 1, 1, repetitions=0)
 
 
 # --- BQT1 files -----------------------------------------------------------

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +157,13 @@ def test_quantize_errors(tmp_path, capsys):
     )
     assert code == 1
 
+    code, _, stderr = run(
+        capsys, "quantize", "--in", str(x_path), "--method", "greedy-x",
+        "--out", str(tmp_path / "q.bqt"),
+    )
+    assert code == 1
+    assert stderr == "bitquant: bit width in 'greedy-x' must be an integer\n"
+
     code, _, _ = run(
         capsys, "quantize", "--in", str(tmp_path / "missing.fqt"), "--method", "ls1",
         "--out", str(tmp_path / "q.bqt"),
@@ -247,6 +257,13 @@ def test_analyze_bad_spec(tmp_path, capsys):
         "--out", str(tmp_path / "r.csv"),
     )
     assert code == 1
+
+    code, _, stderr = run(
+        capsys, "analyze", "--spec", "normal:10", "--methods", "greedy", "--bits", "1,x",
+        "--out", str(tmp_path / "r.csv"),
+    )
+    assert code == 1
+    assert stderr == "bitquant: --bits '1,x' must be comma-separated integers\n"
 
 
 # --- curve ----------------------------------------------------------------
@@ -360,7 +377,7 @@ def test_energy_nonconvergence_exits_three(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-# --- gemm-check and bench -------------------------------------------------
+# --- gemm-check -----------------------------------------------------------
 
 
 def test_gemm_check_passes_on_small_case(capsys):
@@ -378,16 +395,6 @@ def test_gemm_check_validation(capsys):
     assert code == 1
 
 
-def test_bench_runs_and_validates(capsys):
-    code, stdout, _ = run(capsys, "bench", "--n", "128", "--reps", "3")
-    assert code == 0
-    payload = last_json(stdout)
-    assert payload["n"] == 128 and payload["packed_ns_per_op"] > 0
-
-    code, _, _ = run(capsys, "bench", "--n", "100", "--reps", "3")
-    assert code == 1
-
-
 # --- top-level behavior ---------------------------------------------------
 
 
@@ -399,6 +406,43 @@ def test_no_subcommand_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_non_finite_values_are_written_as_null(tmp_path, capsys):
+    # The split objective near 1e170 and the mse near 1e300 overflow to inf.
+    big = tmp_path / "big.csv"
+    big.write_text("1e170,1.5e170,2e170,2.5e170,3e170\n")
+    code, stdout, _ = run(
+        capsys, "curve", "--in", str(big), "--grid", "10", "--out", str(tmp_path / "c.csv")
+    )
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["intersections"][0]["objective"] is None
+    assert payload["optimum"] == payload["intersections"][0]["v"]
+
+    huge = tmp_path / "huge.csv"
+    huge.write_text("1e300,-2e300,3e300\n")
+    with np.errstate(over="ignore"):
+        code, stdout, _ = run(
+            capsys, "quantize", "--in", str(huge), "--method", "ls1",
+            "--out", str(tmp_path / "q.bqt"),
+        )
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["mse"] is None and payload["levels"] == [2e300]
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```sh\n(.*?)```", readme.split("\n## CLI\n", 1)[1], re.S).group(1)
+    lines = [ln for ln in block.replace("\\\n", " ").splitlines() if ln.startswith("bitquant ")]
+    assert len(lines) >= 10
+    parser = cli._build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 def test_unwritable_output_is_data_error(tmp_path, capsys):

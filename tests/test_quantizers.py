@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,22 @@ def test_ternary_fixed_point_edge_cases(x):
     q = quantize_ternary(x)
     assert q.levels[0] == q.levels[1]
     assert is_foldable(x, q)
+
+
+def test_ternary_smallest_subnormal_keeps_level_zero():
+    # The exact optimum v = 2**-1075 is not a float64.  Its neighbours 0 and
+    # 5e-324 reconstruct x with the same exact error, so level 0 is optimal.
+    x = [5e-324]
+    q = quantize_ternary(x)
+    assert q.levels.tolist() == [0.0, 0.0]
+    up = np.array([5e-324, 5e-324])
+    neighbour = ScaledBinaryQuantization(up, foldable_planes(x, up), "ternary")
+    assert reconstruct(neighbour).tolist() == [1e-323]
+
+    def exact_error(q):
+        return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x, reconstruct(q)))
+
+    assert exact_error(q) == exact_error(neighbour) == Fraction(5e-324) ** 2
 
 
 def test_ternary_zero_vector():
