@@ -86,14 +86,14 @@ def parse_method(token: str, ks=()) -> list[tuple[str, int]]:
         return [(family, fixed)]
     if dash:
         try:
-            k = int(suffix)
+            ks = (int(suffix),)
         except ValueError as exc:
             raise ValueError(f"bit width in {token!r} must be an integer") from exc
-        if k < 1:
-            raise ValueError(f"bit width in {token!r} must be positive")
-        return [(family, k)]
     if not ks:
         raise ValueError(f"method {token!r} needs a bit width (e.g. {token}-2)")
+    for k in ks:
+        if int(k) < 1:
+            raise ValueError(f"bit width {k} for {token!r} must be positive")
     return [(family, int(k)) for k in ks]
 
 
@@ -218,8 +218,8 @@ class ConditionCurve:
 
     ``lower_mean`` is NaN where the lower group is empty; ``average`` treats
     an empty lower group as contributing zero, matching the two-bit solver's
-    convention.  ``optimum`` is the intersection with the smallest
-    objective, or NaN when no intersection was found.
+    convention.  ``intersections`` hold every v with average(v) = v, and
+    ``optimum`` the one with the smallest objective (NaN if there is none).
     """
 
     v: np.ndarray
@@ -230,23 +230,23 @@ class ConditionCurve:
     optimum: float
 
 
-def _refine_and_collect(vs, d_vals, d_at, describe):
-    """Locate sign changes of ``d_vals`` over the grid and refine each by
-    bisection on ``d_at``; ``describe(v)`` yields the Intersection."""
+def _refine_and_collect(vs, d) -> list[float]:
+    """Roots of a continuous ``d`` on the grid ``vs``: grid points where it
+    is zero, and each sign change between neighbours refined by bisection."""
     found = []
-    signs = np.sign(d_vals)
+    signs = np.sign([d(v) for v in vs])
     for i in range(vs.size - 1):
-        if d_vals[i] == 0.0:
-            found.append(describe(float(vs[i])))
+        if signs[i] == 0.0:
+            found.append(float(vs[i]))
             continue
         if signs[i] * signs[i + 1] < 0.0:
             lo, hi = float(vs[i]), float(vs[i + 1])
-            f_lo = d_at(lo)
+            f_lo = d(lo)
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
                 if mid == lo or mid == hi:
                     break
-                f_mid = d_at(mid)
+                f_mid = d(mid)
                 if f_mid == 0.0:
                     lo = mid
                     break
@@ -254,36 +254,23 @@ def _refine_and_collect(vs, d_vals, d_at, describe):
                     lo, f_lo = mid, f_mid
                 else:
                     hi = mid
-            found.append(describe(lo))
-    if d_vals[-1] == 0.0:
-        found.append(describe(float(vs[-1])))
+            found.append(lo)
+    if signs[-1] == 0.0:
+        found.append(float(vs[-1]))
     return found
 
 
-def _condition_curve(vs, means, split_mse, e: int = 0) -> ConditionCurve:
-    """Condition curve over the thresholds ``vs``.
-
-    ``means(v)`` returns the lower and upper group means at threshold v, the
-    lower one NaN when that group is empty; ``split_mse(v1, v2)`` scores the
-    levels that a threshold induces.  All three describe data times 2^e: the
+def _condition_curve(vs, lower, upper, found, e: int = 0) -> ConditionCurve:
+    """Condition curve from the group means ``lower`` and ``upper`` at the
+    thresholds ``vs`` (``lower`` NaN where that group is empty) and the
+    Intersections ``found``.  All of them describe data times 2^e: the
     optimum is chosen on those objectives, and the curve reports thresholds
     and means times 2^-e and objectives times 2^-2e.
     """
-
-    def levels(v: float) -> tuple[float, float]:
-        lo, hi = means(v)
-        lo = 0.0 if math.isnan(lo) else lo
-        return 0.5 * (lo + hi), 0.5 * (hi - lo)
-
-    def describe(v: float) -> Intersection:
-        return Intersection(v=v, objective=split_mse(*levels(v)))
-
-    lower, upper = np.array([means(v) for v in vs]).T
     average = 0.5 * (np.nan_to_num(lower) + upper)
     arrays = [np.ldexp(arr, -e) for arr in (vs, lower, upper, average)]
     for arr in arrays:
         arr.setflags(write=False)
-    found = _refine_and_collect(vs, average - vs, lambda v: levels(v)[0] - v, describe)
     optimum = min(found, key=lambda s: (s.objective, s.v)).v if found else math.nan
     with np.errstate(over="ignore"):
         intersections = tuple(
@@ -297,6 +284,9 @@ def condition_curve(x, grid: int) -> ConditionCurve:
     """Empirical condition curve of a sample over ``grid`` interior
     thresholds strictly between 0 and max |x|.
 
+    With t sorted magnitudes a at or below v, the average is the constant
+    level_t = (P_t / t + S_t / (n - t)) / 2 on [a[t-1], a[t]), so v = level_t
+    is an intersection exactly when a[t-1] <= level_t < a[t].
     The curve is built on the magnitudes times 2^e, with max |x| 2^e in
     [0.5, 1), so it is exactly equivariant under power-of-two scaling of x.
     """
@@ -309,15 +299,19 @@ def condition_curve(x, grid: int) -> ConditionCurve:
         raise ValueError("condition curve is undefined for the zero vector")
     e = _scale_exponent(mags[-1])
     np.ldexp(mags, e, out=mags)
-    prefix = np.concatenate(([0.0], np.cumsum(mags)))
-    suffix = np.concatenate((np.cumsum(mags[::-1])[::-1], [0.0]))
-
-    def means(v: float) -> tuple[float, float]:
-        i = int(np.searchsorted(mags, v, side="right"))
-        return (prefix[i] / i if i > 0 else math.nan), suffix[i] / (n - i)
-
+    # Group means for t = 0 .. n - 1, the lower one 0 when t = 0.
+    t = np.arange(n, dtype=np.float64)
+    lower = np.concatenate(([0.0], np.cumsum(mags[:-1]))) / np.maximum(t, 1)
+    upper = np.cumsum(mags[::-1])[::-1] / (n - t)
+    level = 0.5 * (lower + upper)
+    below = np.concatenate(([0.0], mags[:-1]))
+    found = [
+        Intersection(float(level[c]), _split_mse(mags, level[c], 0.5 * (upper[c] - lower[c])))
+        for c in np.nonzero((below <= level) & (level < mags))[0]
+    ]
     vs = np.linspace(0.0, float(mags[-1]), grid + 2)[1:-1]
-    return _condition_curve(vs, means, lambda v1, v2: _split_mse(mags, v1, v2), e)
+    i = np.searchsorted(mags, vs, side="right")
+    return _condition_curve(vs, np.where(i > 0, lower[i], np.nan), upper[i], found, e)
 
 
 def _normal_lower_mean(v: float) -> float:
@@ -365,6 +359,12 @@ def normal_condition_curve(grid: int, v_max: float = 4.0) -> ConditionCurve:
     if not v_max > 0:
         raise ValueError("v_max must be positive")
     vs = np.linspace(0.0, v_max, grid + 1)[1:]
-    return _condition_curve(
-        vs, lambda v: (_normal_lower_mean(v), _normal_upper_mean(v)), normal_split_mse
-    )
+    means = np.array([(_normal_lower_mean(v), _normal_upper_mean(v)) for v in vs])
+
+    def levels(v: float) -> tuple[float, float]:
+        lo, hi = _normal_lower_mean(v), _normal_upper_mean(v)
+        return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+    roots = _refine_and_collect(vs, lambda v: levels(v)[0] - v)
+    found = [Intersection(v, normal_split_mse(*levels(v))) for v in roots]
+    return _condition_curve(vs, *means.T, found)

@@ -93,7 +93,7 @@ def _parse_dist(token: str) -> tuple[str, tuple]:
 
 def cmd_quantize(args) -> int:
     x = load_tensor(args.input, args.format).reshape(-1)
-    family, k = parse_method(args.method, ks=(args.bits,) if args.bits else ())[0]
+    family, k = parse_method(args.method, ks=(args.bits,) if args.bits is not None else ())[0]
     if args.bits is not None and args.bits != k:
         raise ValueError(f"method {args.method!r} is {k}-bit, but --bits {args.bits} given")
     q = _FAMILIES[family][0](x, k)

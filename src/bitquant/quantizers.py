@@ -160,13 +160,21 @@ def reconstruct(q) -> np.ndarray:
 
 
 def objective(x, q) -> QuantizationObjective:
-    """Mean squared error between x and the reconstruction of ``q``."""
+    """Mean squared error between x and the reconstruction of ``q``.
+
+    The differences are squared times 2^2e, with the largest of them times
+    2^e in [0.5, 1) (see :func:`_scale_exponent`), so the mse is inf only
+    where the true value overflows.
+    """
     x = as_float_vector(x)
     recon = reconstruct(q)
     if recon.size != x.size:
         raise ValueError(f"length mismatch: {x.size} vs {recon.size}")
     diff = x - recon
-    return QuantizationObjective(mse=float(np.mean(diff * diff)))
+    top = float(np.max(np.abs(diff)))
+    e = _scale_exponent(top) if top > 0.0 else 0
+    np.ldexp(diff, e, out=diff)
+    return QuantizationObjective(mse=float(np.ldexp(np.mean(diff * diff), -2 * e)))
 
 
 def foldable_planes(x, levels) -> np.ndarray:

@@ -5,7 +5,8 @@ library code: eigenvalues come from a cyclic Jacobi sweep or a closed-form
 3x3 solution instead of power iteration or LAPACK, plane dots from
 pure-Python integer loops instead of popcounts, and the two-bit and
 ternary bounds from a full cut enumeration or a level grid with direct
-residuals instead of the screened cut scan.
+residuals instead of the screened cut scan, and the condition curve's
+fixed points from slice means at every cut instead of running sums.
 """
 
 from __future__ import annotations
@@ -108,6 +109,20 @@ def exhaustive_two_bit_mse(x) -> float:
         sse = float(low @ low) + float(high @ high)
         best = min(best, sse / n)
     return best
+
+
+def fixed_point_cuts(x) -> list[int]:
+    """Every cut t of the sorted magnitudes a whose two-bit level, half the
+    sum of the slice means of a[:t] (0 when empty) and a[t:], reproduces
+    itself: a[t-1] <= level < a[t]."""
+    mags = np.sort(np.abs(np.asarray(x, dtype=np.float64)))
+    cuts = []
+    for t in range(mags.size):
+        m_lo = float(np.mean(mags[:t])) if t > 0 else 0.0
+        level = 0.5 * (m_lo + float(np.mean(mags[t:])))
+        if (t == 0 or mags[t - 1] <= level) and level < mags[t]:
+            cuts.append(t)
+    return cuts
 
 
 def ternary_best_on_grid(x, grid_points) -> float:

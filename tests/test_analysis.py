@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bitquant import (
     AngleMetric,
@@ -25,6 +27,7 @@ from bitquant import (
 )
 from bitquant.analysis import _refine_and_collect
 
+from oracles import fixed_point_cuts
 from test_acceptance import FROZEN_LEVELS
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -87,6 +90,10 @@ def test_parse_method_errors():
         parse_method("greedy-x")
     with pytest.raises(ValueError, match="'lloyd-2.5' must be an integer"):
         parse_method("lloyd-2.5")
+    with pytest.raises(ValueError, match="bit width 0 for 'greedy' must be positive"):
+        parse_method("greedy", ks=(2, 0))
+    with pytest.raises(ValueError, match="bit width -1 for 'lloyd' must be positive"):
+        parse_method("lloyd", ks=(-1,))
 
 
 # --- sweeps ---------------------------------------------------------------
@@ -209,7 +216,7 @@ def test_condition_curve_optimum_matches_two_bit_level():
     curve = condition_curve(x, 400)
     v1 = float(quantize_ls2(x).levels[0])
     assert curve.intersections
-    assert curve.optimum == pytest.approx(v1, abs=1e-6)
+    assert curve.optimum == pytest.approx(v1, rel=1e-13)
 
 
 def test_condition_curve_lower_mean_nan_below_smallest_magnitude():
@@ -252,6 +259,51 @@ def test_condition_curve_optimum_at_extreme_scales(factor):
         assert curve.optimum == pytest.approx(base.optimum * factor, rel=1e-12)
 
 
+def running_sum_average(x, v):
+    """The empirical curve's average at threshold v, from running sums of
+    the sorted magnitudes times 2^e as the curve forms its group means."""
+    mags = np.sort(np.abs(x))
+    e = -int(np.frexp(mags[-1])[1])
+    mags = np.ldexp(mags, e)
+    t = int(np.searchsorted(mags, np.ldexp(v, e), side="right"))
+    lower = np.cumsum(mags[:t])[-1] / t if t > 0 else 0.0
+    upper = np.cumsum(mags[t:][::-1])[-1] / (mags.size - t)
+    return np.ldexp(0.5 * (lower + upper), -e)
+
+
+# Integers times a power of two keep every running sum and slice sum exact,
+# so the curve's means and the oracle's slice means agree bit for bit.
+exact_vectors = st.builds(
+    lambda ints, power: np.ldexp(np.array(ints, dtype=np.float64), power),
+    st.lists(st.integers(-(2**20), 2**20), min_size=1, max_size=60).filter(any),
+    st.integers(-60, 60),
+)
+float_vectors = st.lists(
+    st.one_of(
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=False),
+        st.sampled_from([1e-300, -1.0, 2.5, 1e6]),
+    ),
+    min_size=1,
+    max_size=50,
+).filter(any)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_vectors, float_vectors)
+@example(np.array([1.0, -3.0, 4.0]), [1.0])  # level 3 at cut 2 equals a[1]
+def test_condition_curve_intersections_are_the_exact_fixed_points(exact, xs):
+    curve = condition_curve(exact, 7)
+    mags = np.sort(np.abs(exact))
+    cuts = [int(np.searchsorted(mags, s.v, side="right")) for s in curve.intersections]
+    assert cuts == fixed_point_cuts(exact)
+    for x in (exact, np.asarray(xs, dtype=np.float64)):
+        curve = condition_curve(x, 7)
+        assert np.array_equal(curve.average, [running_sum_average(x, v) for v in curve.v])
+        for s in curve.intersections:
+            assert running_sum_average(x, s.v) == s.v
+        assert curve.optimum in [s.v for s in curve.intersections]
+
+
 def test_sign_changes_are_found_at_any_scale():
     vs = np.array([1.0, 2.0, 3.0])
     for scale in (1e-170, 1.0, 1e170):
@@ -259,7 +311,7 @@ def test_sign_changes_are_found_at_any_scale():
         def d(v, scale=scale):
             return (2.5 - v) * scale
 
-        assert _refine_and_collect(vs, np.array([d(v) for v in vs]), d, float) == [2.5]
+        assert _refine_and_collect(vs, d) == [2.5]
 
 
 # --- analytic normal curves -----------------------------------------------

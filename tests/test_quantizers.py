@@ -72,6 +72,17 @@ def test_objective_length_mismatch():
         objective([1.0, 2.0, 3.0], q)
 
 
+def test_objective_is_finite_where_the_true_mse_is():
+    # The squared difference 1e310 overflows, the mean 9.999e305 does not.
+    x = np.array([1e155] + [0.0] * 9999)
+    q = quantize_ls1(x)
+    v = Fraction(float(q.levels[0]))
+    exact = ((Fraction(1e155) - v) ** 2 + 9999 * v * v) / 10000
+    with np.errstate(all="raise"):
+        got = mse(x, q)
+    assert got == pytest.approx(float(exact), rel=1e-15)
+
+
 # --- one bit --------------------------------------------------------------
 
 

@@ -9,10 +9,11 @@ conditions used by the two-bit and ternary solvers,
     ternary:  v =  E[|X| given |X| > v] / 2
 
 using closed-form conditional means (error functions for the normal, taken
-from ``bitquant.analysis``; memoryless exponential tails for the Laplace)
-and the condition-curve root finder of ``bitquant.analysis`` on a grid over
-(0, 8].  Each root is scored by the population mean squared error of the
-induced reconstruction so the global optimum is identified.  Run
+from ``bitquant.analysis``; memoryless exponential tails for the Laplace).
+These curves are continuous, so the analytic condition curve's root finder
+(sign changes on a grid over (0, 8], refined by bisection) finds the roots.
+Each root is scored by the population mean squared error of the induced
+reconstruction so the global optimum is identified.  Run
 
     PYTHONPATH=src python3 tools/population_roots.py
 
@@ -61,8 +62,7 @@ def laplace_mse(v1, v2):
 
 
 def roots(g, v_max=8.0, steps=16000):
-    vs = np.arange(1, steps + 1) * v_max / steps
-    return _refine_and_collect(vs, np.array([g(v) for v in vs]), g, float)
+    return _refine_and_collect(np.arange(1, steps + 1) * v_max / steps, g)
 
 
 def report(name, lower, upper, mse):
