@@ -15,6 +15,7 @@ closed-form for the standard normal population (error function based).
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -53,6 +54,8 @@ def angle(x, y) -> AngleMetric:
     y = as_float_vector(y)
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
+    # Each vector times its own 2^e: same cosine, no overflow or underflow.
+    x, y = (np.ldexp(v, _scale_exponent(np.max(np.abs(v)))) for v in (x, y))
     nx = float(np.linalg.norm(x))
     ny = float(np.linalg.norm(y))
     if nx == 0.0 or ny == 0.0:
@@ -179,19 +182,20 @@ def emit_report(report: SweepReport, path, fmt: str = "csv") -> None:
     """Write a sweep report to ``path`` as CSV or JSON.
 
     Floats are rendered with %.17g, so a written value parses back to the
-    same double.  The levels column joins values with semicolons.
+    same double.  The levels column joins values with semicolons, and CSV
+    fields that hold a comma, such as ``lognormal(0,1)``, are quoted.
     """
     token = fmt.lower()
     if token == "csv":
-        lines = [",".join(f.name for f in fields(SweepRow))]
-        for r in report.rows:
-            angle_field = "" if r.angle_degrees is None else format(r.angle_degrees, ".17g")
-            levels_field = ";".join(format(v, ".17g") for v in r.levels)
-            lines.append(
-                f"{r.method},{r.k},{r.distribution},{r.n},{r.seed},"
-                f"{format(r.mse, '.17g')},{angle_field},{levels_field}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(f.name for f in fields(SweepRow))
+            for r in report.rows:
+                writer.writerow((
+                    r.method, r.k, r.distribution, r.n, r.seed, format(r.mse, ".17g"),
+                    "" if r.angle_degrees is None else format(r.angle_degrees, ".17g"),
+                    ";".join(format(v, ".17g") for v in r.levels),
+                ))
         return
     if token == "json":
         payload = {"rows": [asdict(r) for r in report.rows]}
@@ -351,14 +355,12 @@ def normal_split_mse(v1: float, v2: float) -> float:
     )
 
 
-def normal_condition_curve(grid: int, v_max: float = 4.0) -> ConditionCurve:
+def normal_condition_curve(grid: int) -> ConditionCurve:
     """Closed-form condition curve for the standard normal population over
-    ``grid`` thresholds in (0, v_max]."""
+    ``grid`` thresholds in (0, 4]."""
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    if not v_max > 0:
-        raise ValueError("v_max must be positive")
-    vs = np.linspace(0.0, v_max, grid + 1)[1:]
+    vs = np.linspace(0.0, 4.0, grid + 1)[1:]
     means = np.array([(_normal_lower_mean(v), _normal_upper_mean(v)) for v in vs])
 
     def levels(v: float) -> tuple[float, float]:

@@ -171,10 +171,10 @@ def objective(x, q) -> QuantizationObjective:
     if recon.size != x.size:
         raise ValueError(f"length mismatch: {x.size} vs {recon.size}")
     diff = x - recon
-    top = float(np.max(np.abs(diff)))
-    e = _scale_exponent(top) if top > 0.0 else 0
+    e = _scale_exponent(np.max(np.abs(diff)))
     np.ldexp(diff, e, out=diff)
-    return QuantizationObjective(mse=float(np.ldexp(np.mean(diff * diff), -2 * e)))
+    with np.errstate(over="ignore"):
+        return QuantizationObjective(mse=float(np.ldexp(np.mean(diff * diff), -2 * e)))
 
 
 def foldable_planes(x, levels) -> np.ndarray:
@@ -303,13 +303,15 @@ def _fixed_points(mags: np.ndarray, cuts, gain, with_lower: bool):
             v1, v2 = 0.5 * (m_lo + m_hi), 0.5 * (m_hi - m_lo)
         else:
             v1 = v2 = 0.5 * m_hi
-        if (ti == 0 or mags[ti - 1] <= v1) and v1 < mags[ti]:
+        # Rounded slice means of a cluster a few ulps wide can give v2 < 0.
+        if (ti == 0 or mags[ti - 1] <= v1) and v1 < mags[ti] and v2 >= 0:
             accepted.append((v1, v2))
     return accepted
 
 
 def _scale_exponent(top) -> int:
-    """The e that brings a positive ``top`` into [0.5, 1) as top * 2^e.
+    """The e that brings a positive ``top`` into [0.5, 1) as top * 2^e; 0
+    for top = 0.
 
     Scaling data by 2^e is exact and leaves every comparison as it was, but
     keeps squares and products of the data from overflowing for magnitudes
@@ -391,7 +393,10 @@ def quantize_ls2(x) -> ScaledBinaryQuantization:
 # Lloyd reference quantizer
 
 
-def quantize_lloyd(x, k: int, max_iters: int = 500, tol: float = 1e-10) -> LloydQuantizer:
+_LLOYD_MAX_ITERS = 500
+
+
+def quantize_lloyd(x, k: int) -> LloydQuantizer:
     """Fit a 2^k-codeword scalar quantizer by alternating nearest-codeword
     assignment and codeword recentering.
 
@@ -400,15 +405,13 @@ def quantize_lloyd(x, k: int, max_iters: int = 500, tol: float = 1e-10) -> Lloyd
     range when those are not strictly increasing (for constant data the
     ramp spans [lo, lo + max(1, |lo|)]).  A codeword that loses all its
     members is reseeded at the datum with the largest reconstruction error,
-    unless that error is already zero.  Iteration stops when the largest
-    codeword movement falls below ``tol`` relative to the codebook
-    magnitude.
+    unless that error is already zero.  Iteration stops at an exact fixed
+    point, when recentering returns the codebook bit for bit, at any scale;
+    a fit still moving after 500 steps has ``converged=False``.
     """
     x = as_float_vector(x)
     if not 1 <= k <= 16:
         raise ValueError("k must be between 1 and 16")
-    if max_iters < 1:
-        raise ValueError("max_iters must be positive")
     n_codes = 2**k
     codebook = np.quantile(x, (np.arange(n_codes) + 0.5) / n_codes)
     if np.any(np.diff(codebook) <= 0):
@@ -418,10 +421,7 @@ def quantize_lloyd(x, k: int, max_iters: int = 500, tol: float = 1e-10) -> Lloyd
             hi = lo + max(1.0, abs(lo))
         codebook = np.linspace(lo, hi, n_codes)
 
-    converged = False
-    iterations = 0
-    for _ in range(max_iters):
-        iterations += 1
+    for iterations in range(1, _LLOYD_MAX_ITERS + 1):
         thresholds = 0.5 * (codebook[:-1] + codebook[1:])
         codes = np.searchsorted(thresholds, x, side="right")
         counts = np.bincount(codes, minlength=n_codes)
@@ -429,23 +429,21 @@ def quantize_lloyd(x, k: int, max_iters: int = 500, tol: float = 1e-10) -> Lloyd
         new_codebook = codebook.copy()
         occupied = counts > 0
         new_codebook[occupied] = sums[occupied] / counts[occupied]
+        errors = None if occupied.all() else np.abs(x - new_codebook[codes])
         for empty in np.nonzero(~occupied)[0]:
-            errors = np.abs(x - new_codebook[codes])
             worst = int(np.argmax(errors))
             if errors[worst] == 0.0:
                 break
             new_codebook[empty] = x[worst]
-            codes[worst] = empty
+            errors[worst] = 0.0
         new_codebook = np.sort(new_codebook)
-        movement = float(np.max(np.abs(new_codebook - codebook)))
-        scale = max(float(np.max(np.abs(codebook))), 1e-30)
-        codebook = new_codebook
-        if movement <= tol * scale:
-            converged = True
+        converged = np.array_equal(new_codebook, codebook)
+        if converged:
             break
-
-    thresholds = 0.5 * (codebook[:-1] + codebook[1:])
-    codes = np.searchsorted(thresholds, x, side="right")
+        codebook = new_codebook
+    else:
+        thresholds = 0.5 * (codebook[:-1] + codebook[1:])
+        codes = np.searchsorted(thresholds, x, side="right")
     return LloydQuantizer(
         codebook=codebook,
         thresholds=thresholds,

@@ -33,6 +33,8 @@ from .quantizers import _scale_exponent, sign
 from .tensor import as_float_matrix
 
 _REL_SLACK = 1e-9
+_POWER_TOL = 1e-12
+_POWER_MAX_ITERS = 10_000
 
 
 @dataclass(frozen=True)
@@ -128,13 +130,13 @@ def _degenerate(shape) -> tuple[float, np.ndarray, np.ndarray]:
     return 0.0, u, v
 
 
-def rank1_binary(x, tol: float = 1e-12, max_iters: int = 10_000) -> Rank1Factorization:
+def rank1_binary(x) -> Rank1Factorization:
     """Least squares rank-1 binary factorization of a matrix.
 
     Signs are sign(X) with sign(0) = +1; the scale field is the dominant
     singular triple of |X|, found by power iteration on the Gram operator.
-    Convergence is declared when the Rayleigh quotient changes by less than
-    ``tol`` relative to its value; running out of iterations raises
+    Convergence is declared when the Rayleigh quotient changes by at most
+    1e-12 relative to its value; 10,000 steps without that raise
     :class:`ConvergenceError` with the best triple attached.  The iteration
     runs on |X| times 2^e, with max |X| 2^e in [0.5, 1), so the result is
     exactly equivariant under power-of-two scaling of X.
@@ -152,18 +154,17 @@ def rank1_binary(x, tol: float = 1e-12, max_iters: int = 10_000) -> Rank1Factori
     v = mags.sum(axis=0)
     v = v / np.linalg.norm(v)
     rayleigh = None
-    for _ in range(max_iters):
+    for _ in range(_POWER_MAX_ITERS):
         y = mags @ v
         lam = float(y @ y)
-        if rayleigh is not None and abs(lam - rayleigh) <= tol * lam:
-            rayleigh = lam
+        if rayleigh is not None and abs(lam - rayleigh) <= _POWER_TOL * lam:
             break
         rayleigh = lam
         w = mags.T @ y
         v = w / np.linalg.norm(w)
     else:
         raise ConvergenceError(
-            f"power iteration did not settle in {max_iters} iterations",
+            f"power iteration did not settle in {_POWER_MAX_ITERS} iterations",
             partial=_build_triple(mags, v, signs, e),
         )
     return _build_triple(mags, v, signs, e)

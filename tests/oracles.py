@@ -5,8 +5,10 @@ library code: eigenvalues come from a cyclic Jacobi sweep or a closed-form
 3x3 solution instead of power iteration or LAPACK, plane dots from
 pure-Python integer loops instead of popcounts, and the two-bit and
 ternary bounds from a full cut enumeration or a level grid with direct
-residuals instead of the screened cut scan, and the condition curve's
-fixed points from slice means at every cut instead of running sums.
+residuals instead of the screened cut scan, the condition curve's fixed
+points from slice means at every cut instead of running sums, and the best
+K-level quantizer from dynamic programming over every partition instead of
+alternating assignment and recentring.
 """
 
 from __future__ import annotations
@@ -137,3 +139,40 @@ def ternary_best_on_grid(x, grid_points) -> float:
     v = np.asarray(grid_points, dtype=np.float64)[:, None]
     residuals = np.where(mags >= v, mags - 2.0 * v, mags)
     return float(np.min(np.sum(residuals * residuals, axis=1))) / mags.size
+
+
+def optimal_k_level_mse(x, levels: int) -> float:
+    """Smallest mean squared error of any quantizer of x onto at most
+    ``levels`` values, the O(levels * n^2) dynamic program of Ckmeans.1d.dp
+    (Wang & Song 2011); meant for n up to a few hundred.
+
+    An optimal quantizer partitions the sorted data into contiguous groups
+    and sends each to its mean.  cost[j, i] is the squared error of the
+    group x[j..i] about its mean, from prefix sums of the data shifted by
+    its mean, and best[i] the least error of x[:i+1] in the groups used so
+    far; the chosen partition is scored again from its slice residuals.
+    """
+    xs = np.sort(np.asarray(x, dtype=np.float64))
+    n = xs.size
+    shifted = xs - np.mean(xs)
+    s1 = np.concatenate(([0.0], np.cumsum(shifted)))
+    s2 = np.concatenate(([0.0], np.cumsum(shifted * shifted)))
+    j, i = np.triu_indices(n)
+    count = i - j + 1
+    total = s1[i + 1] - s1[j]
+    cost = np.full((n, n), np.inf)
+    cost[j, i] = np.maximum(s2[i + 1] - s2[j] - total * total / count, 0.0)
+    best = cost[0].copy()
+    starts = [np.zeros(n, dtype=np.int64)]
+    for _ in range(1, min(levels, n)):
+        # Group x[j..i] closes a partition of x[:j] into one group fewer.
+        options = np.concatenate(([np.inf], best[:-1]))[:, None] + cost
+        starts.append(np.argmin(options, axis=0))
+        best = np.min(options, axis=0)
+    end, sse = n, 0.0
+    for start_of in reversed(starts):
+        start = int(start_of[end - 1])
+        group = xs[start:end]
+        sse += float(np.sum((group - np.mean(group)) ** 2))
+        end = start
+    return sse / n

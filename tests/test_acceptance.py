@@ -159,7 +159,7 @@ def test_criterion_6_rank1_sign_pattern_optimality(capsys):
         x = rng.normal(9).reshape(3, 3)
         mags = np.abs(x)
         oracle_best = sym3_top_eigenvalue(mags.T @ mags)
-        f = rank1_binary(x, tol=1e-14, max_iters=100_000)
+        f = rank1_binary(x)
         flipped = x[None, :, :] * patterns
         grams = np.einsum("sij,sik->sjk", flipped, flipped)
         best_other = max(sym3_top_eigenvalue(grams[s]) for s in range(512))

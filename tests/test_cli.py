@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -436,12 +437,14 @@ def test_non_finite_values_are_written_as_null(tmp_path, capsys):
 
     huge = tmp_path / "huge.csv"
     huge.write_text("1e300,-2e300,3e300\n")
-    with np.errstate(over="ignore"):
-        code, stdout, _ = run(
+    # pytest records warnings instead of printing them, so raise them here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run(
             capsys, "quantize", "--in", str(huge), "--method", "ls1",
             "--out", str(tmp_path / "q.bqt"),
         )
-    assert code == 0
+    assert code == 0 and stderr == ""
     payload = json.loads(stdout)
     assert payload["mse"] is None and payload["levels"] == [2e300]
 

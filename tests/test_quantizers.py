@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitquant import (
@@ -23,7 +23,7 @@ from bitquant import (
     sign,
 )
 
-from oracles import exhaustive_two_bit_mse, ternary_best_on_grid
+from oracles import exhaustive_two_bit_mse, optimal_k_level_mse, ternary_best_on_grid
 
 
 def mse(x, q) -> float:
@@ -322,8 +322,23 @@ ternary_entries = st.one_of(
 )
 
 
+def ulp_cluster(c, counts):
+    """counts[j] copies of c + j ulps."""
+    return [c + j * np.spacing(c) for j, m in enumerate(counts) for _ in range(m)]
+
+
+# Clusters a few ulps wide: the rounded slice means of a cut inside one can
+# put the lower group's mean above the upper group's.
+ulp_clusters = st.builds(
+    ulp_cluster,
+    st.floats(min_value=1e-300, max_value=1e6),
+    st.lists(st.integers(1, 12), min_size=1, max_size=4),
+)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(two_plane_entries, min_size=1, max_size=50))
+@given(st.one_of(st.lists(two_plane_entries, min_size=1, max_size=50), ulp_clusters))
+@example(ulp_cluster(1.9646934829040668, [6, 8, 9]))
 def test_ls2_property_beats_one_bit_and_folds(xs):
     x = np.asarray(xs, dtype=np.float64)
     q = quantize_ls2(x)
@@ -441,7 +456,7 @@ def test_lloyd_final_codes_are_nearest(vector_battery):
 
 def test_lloyd_centroids_match_members_at_convergence():
     x = generate(SyntheticSpec("normal", 4000, 40))
-    lq = quantize_lloyd(x, 2, max_iters=2000)
+    lq = quantize_lloyd(x, 2)
     assert lq.converged
     scale = float(np.max(np.abs(lq.codebook)))
     for j in range(lq.codebook.size):
@@ -450,13 +465,47 @@ def test_lloyd_centroids_match_members_at_convergence():
             assert abs(float(np.mean(members)) - lq.codebook[j]) <= 1e-6 * scale
 
 
+def test_converged_lloyd_is_an_exact_fixed_point(vector_battery):
+    # One more assignment and recentring step returns the fit bit for bit.
+    for x in vector_battery:
+        for k in (1, 2, 3):
+            lq = quantize_lloyd(x, k)
+            assert lq.converged
+            codes = np.searchsorted(lq.thresholds, x, side="right")
+            assert np.array_equal(codes, lq.codes)
+            counts = np.bincount(codes, minlength=2**k)
+            sums = np.bincount(codes, weights=x, minlength=2**k)
+            occupied = counts > 0
+            assert np.array_equal(sums[occupied] / counts[occupied], lq.codebook[occupied])
+
+
+@pytest.mark.parametrize("power", [-600, -200, 200, 600])
+def test_lloyd_power_of_two_scaling_is_exact(power):
+    # A stopping rule relative to a floored codebook magnitude stopped the
+    # 2^-200 fit after one step.
+    x = generate(SyntheticSpec("laplace", 5000, 4, (1.0,)))
+    for k in (1, 2, 3):
+        base, got = quantize_lloyd(x, k), quantize_lloyd(np.ldexp(x, power), k)
+        assert np.array_equal(got.codebook, np.ldexp(base.codebook, power))
+        assert np.array_equal(got.codes, base.codes)
+        assert (got.iterations, got.converged) == (base.iterations, base.converged)
+
+
+def test_no_fit_beats_the_optimal_k_level_quantizer(vector_battery):
+    for x in vector_battery:
+        fits = [(quantize_ls1(x), 2), (quantize_ternary(x), 3), (quantize_ls2(x), 4)]
+        for k in (1, 2, 3):
+            fits += [(quantize_greedy(x, k), 2**k), (quantize_lloyd(x, k), 2**k)]
+        optimum = {levels: optimal_k_level_mse(x, levels) for levels in (2, 3, 4, 8)}
+        for q, levels in fits:
+            assert mse(x, q) >= optimum[levels] * (1 - 1e-12)
+
+
 def test_lloyd_validation():
     with pytest.raises(ValueError):
         quantize_lloyd([1.0, 2.0], 0)
     with pytest.raises(ValueError):
         quantize_lloyd([1.0, 2.0], 17)
-    with pytest.raises(ValueError):
-        quantize_lloyd([1.0, 2.0], 1, max_iters=0)
     with pytest.raises(ValueError):
         LloydQuantizer(
             codebook=np.array([2.0, 1.0]),
@@ -484,8 +533,8 @@ def test_lloyd_projection_error_at_least_lloyd_error(vector_battery):
         q = lloyd_to_scaled_binary(lq)
         assert q.k == 2 and q.n == x.size
         assert q.levels[0] >= q.levels[1] >= 0.0
-        # Slack covers the convergence tolerance: codewords sit within the
-        # movement threshold of their cluster means, not exactly on them.
+        # Slack covers rounding: the codewords are cell means as computed
+        # in floating point, not the exact ones.
         assert mse(x, q) >= mse(x, lq) - 1e-8 * max(1.0, mse(x, lq))
 
 

@@ -10,6 +10,7 @@ from bitquant import (
     channel_mean_rank1,
     energy_profile,
     generate,
+    rank1,
     rank1_binary,
     reconstruct_rank1,
     residual_fro2,
@@ -140,17 +141,18 @@ def test_beats_random_nonnegative_scale_fields():
         assert residual_fro2(x, trial) >= base - 1e-9
 
 
-def test_convergence_error_carries_partial_result():
+def test_convergence_error_carries_partial_result(monkeypatch):
+    monkeypatch.setattr(rank1, "_POWER_MAX_ITERS", 1)
     x = random_matrix(8, 8, 9)
     with pytest.raises(ConvergenceError) as info:
-        rank1_binary(x, max_iters=1)
+        rank1_binary(x)
     partial = info.value.partial
     assert isinstance(partial, Rank1Factorization)
     assert partial.sigma > 0
 
 
 @pytest.mark.parametrize("power", [600, -600])
-def test_power_of_two_scaling_is_exact(power):
+def test_power_of_two_scaling_is_exact(power, monkeypatch):
     x = random_matrix(5, 6, 40)
     scaled = np.ldexp(x, power)
     for fit in (rank1_binary, channel_mean_rank1):
@@ -158,10 +160,11 @@ def test_power_of_two_scaling_is_exact(power):
         assert got.sigma == np.ldexp(base.sigma, power)
         assert np.array_equal(got.u, base.u) and np.array_equal(got.v, base.v)
         assert np.array_equal(got.signs, base.signs)
+    monkeypatch.setattr(rank1, "_POWER_MAX_ITERS", 1)
     with pytest.raises(ConvergenceError) as info:
-        rank1_binary(scaled, max_iters=1)
+        rank1_binary(scaled)
     with pytest.raises(ConvergenceError) as base_info:
-        rank1_binary(x, max_iters=1)
+        rank1_binary(x)
     assert info.value.partial.sigma == np.ldexp(base_info.value.partial.sigma, power)
     base, got = energy_profile(x, 4), energy_profile(scaled, 4)
     assert got.ratio_1 == base.ratio_1

@@ -61,8 +61,7 @@ def laplace_mse(v1, v2):
 # --- root finding ----------------------------------------------------------
 
 
-def roots(g, v_max=8.0, steps=16000):
-    return _refine_and_collect(np.arange(1, steps + 1) * v_max / steps, g)
+GRID = np.arange(1, 16001) * 8.0 / 16000
 
 
 def report(name, lower, upper, mse):
@@ -72,7 +71,7 @@ def report(name, lower, upper, mse):
         return 0.5 * (lower(v) + upper(v)) - v
 
     best = None
-    for v1 in roots(g2):
+    for v1 in _refine_and_collect(GRID, g2):
         v2 = 0.5 * (upper(v1) - lower(v1))
         e = mse(v1, v2)
         print(f"  two-bit root: v1={v1:.12f} v2={v2:.12f} mse={e:.12f}")
@@ -84,7 +83,7 @@ def report(name, lower, upper, mse):
     def gt(v):
         return 0.5 * upper(v) - v
 
-    for v in roots(gt):
+    for v in _refine_and_collect(GRID, gt):
         print(f"  ternary root: v={v:.12f} mse={mse(v, v):.12f}")
 
 
