@@ -26,8 +26,9 @@ import numpy as np
 from .quantizers import (
     _FAMILIES,
     LloydQuantizer,
-    _scale_exponent,
+    _from_unit,
     _split_mse,
+    _to_unit,
     objective,
     reconstruct,
 )
@@ -54,8 +55,8 @@ def angle(x, y) -> AngleMetric:
     y = as_float_vector(y)
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    # Each vector times its own 2^e: same cosine, no overflow or underflow.
-    x, y = (np.ldexp(v, _scale_exponent(np.max(np.abs(v)))) for v in (x, y))
+    # Each vector on its own unit scale: same cosine, no overflow or underflow.
+    x, y = (_to_unit(v.copy())[0] for v in (x, y))
     nx = float(np.linalg.norm(x))
     ny = float(np.linalg.norm(y))
     if nx == 0.0 or ny == 0.0:
@@ -267,21 +268,20 @@ def _refine_and_collect(vs, d) -> list[float]:
 def _condition_curve(vs, lower, upper, found, e: int = 0) -> ConditionCurve:
     """Condition curve from the group means ``lower`` and ``upper`` at the
     thresholds ``vs`` (``lower`` NaN where that group is empty) and the
-    Intersections ``found``.  All of them describe data times 2^e: the
-    optimum is chosen on those objectives, and the curve reports thresholds
-    and means times 2^-e and objectives times 2^-2e.
+    Intersections ``found``.  All of them describe data on the unit scale
+    of exponent e: the optimum is chosen on those objectives, and the curve
+    maps thresholds, means and objectives back.
     """
     average = 0.5 * (np.nan_to_num(lower) + upper)
-    arrays = [np.ldexp(arr, -e) for arr in (vs, lower, upper, average)]
+    arrays = [_from_unit(arr, e) for arr in (vs, lower, upper, average)]
     for arr in arrays:
         arr.setflags(write=False)
     optimum = min(found, key=lambda s: (s.objective, s.v)).v if found else math.nan
-    with np.errstate(over="ignore"):
-        intersections = tuple(
-            Intersection(v=math.ldexp(s.v, -e), objective=float(np.ldexp(s.objective, -2 * e)))
-            for s in found
-        )
-    return ConditionCurve(*arrays, intersections, math.ldexp(optimum, -e))
+    intersections = tuple(
+        Intersection(v=float(_from_unit(s.v, e)), objective=float(_from_unit(s.objective, e, 2)))
+        for s in found
+    )
+    return ConditionCurve(*arrays, intersections, float(_from_unit(optimum, e)))
 
 
 def condition_curve(x, grid: int) -> ConditionCurve:
@@ -291,8 +291,8 @@ def condition_curve(x, grid: int) -> ConditionCurve:
     With t sorted magnitudes a at or below v, the average is the constant
     level_t = (P_t / t + S_t / (n - t)) / 2 on [a[t-1], a[t]), so v = level_t
     is an intersection exactly when a[t-1] <= level_t < a[t].
-    The curve is built on the magnitudes times 2^e, with max |x| 2^e in
-    [0.5, 1), so it is exactly equivariant under power-of-two scaling of x.
+    The curve is built on the unit scale of the magnitudes, so it is
+    exactly equivariant under power-of-two scaling of x.
     """
     x = as_float_vector(x)
     if grid < 2:
@@ -301,8 +301,7 @@ def condition_curve(x, grid: int) -> ConditionCurve:
     n = mags.size
     if mags[-1] == 0.0:
         raise ValueError("condition curve is undefined for the zero vector")
-    e = _scale_exponent(mags[-1])
-    np.ldexp(mags, e, out=mags)
+    mags, e = _to_unit(mags, mags[-1])
     # Group means for t = 0 .. n - 1, the lower one 0 when t = 0.
     t = np.arange(n, dtype=np.float64)
     lower = np.concatenate(([0.0], np.cumsum(mags[:-1]))) / np.maximum(t, 1)
@@ -318,35 +317,36 @@ def condition_curve(x, grid: int) -> ConditionCurve:
     return _condition_curve(vs, np.where(i > 0, lower[i], np.nan), upper[i], found, e)
 
 
+def _normal_moments(v: float):
+    """Mass, first and second moment of |X|, X standard normal, at or below
+    v and above v: ``(m0_lo, m1_lo, m2_lo, m0_hi, m1_hi, m2_hi)``."""
+    phi = math.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)
+    m0_lo = math.erf(v / _SQRT2)
+    m0_hi = math.erfc(v / _SQRT2)
+    m1_lo = _SQRT_2_OVER_PI * (-math.expm1(-0.5 * v * v))
+    m1_hi = _SQRT_2_OVER_PI * math.exp(-0.5 * v * v)
+    return m0_lo, m1_lo, m0_lo - 2.0 * v * phi, m0_hi, m1_hi, m0_hi + 2.0 * v * phi
+
+
 def _normal_lower_mean(v: float) -> float:
     if v <= 0.0:
         return 0.0
-    den = math.erf(v / _SQRT2)
-    if den == 0.0:
-        return 0.0
-    return _SQRT_2_OVER_PI * (-math.expm1(-0.5 * v * v)) / den
+    m0, m1, *_ = _normal_moments(v)
+    return m1 / m0 if m0 > 0.0 else 0.0
 
 
 def _normal_upper_mean(v: float) -> float:
     if v <= 0.0:
         return _SQRT_2_OVER_PI
-    den = math.erfc(v / _SQRT2)
-    if den == 0.0:
-        # Far tail; the conditional mean approaches v itself.
-        return v
-    return _SQRT_2_OVER_PI * math.exp(-0.5 * v * v) / den
+    *_, m0, m1, _ = _normal_moments(v)
+    # Far tail: the conditional mean approaches v itself.
+    return m1 / m0 if m0 > 0.0 else v
 
 
 def normal_split_mse(v1: float, v2: float) -> float:
     """Population mean squared error of the reconstruction levels
     {v1 - v2, v1 + v2} applied to |X|, X standard normal, split at v1."""
-    phi = math.exp(-0.5 * v1 * v1) / math.sqrt(2.0 * math.pi)
-    m0_lo = math.erf(v1 / _SQRT2)
-    m1_lo = _SQRT_2_OVER_PI * (-math.expm1(-0.5 * v1 * v1))
-    m2_lo = m0_lo - 2.0 * v1 * phi
-    m0_hi = math.erfc(v1 / _SQRT2)
-    m1_hi = _SQRT_2_OVER_PI * math.exp(-0.5 * v1 * v1)
-    m2_hi = m0_hi + 2.0 * v1 * phi
+    m0_lo, m1_lo, m2_lo, m0_hi, m1_hi, m2_hi = _normal_moments(v1)
     lo = v1 - v2
     hi = v1 + v2
     return (

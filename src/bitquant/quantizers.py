@@ -124,7 +124,11 @@ class LloydQuantizer:
         codes = np.ascontiguousarray(self.codes, dtype=np.int64)
         if codebook.ndim != 1 or codebook.size < 2:
             raise ValueError("codebook must hold at least two codewords")
-        if np.any(np.diff(codebook) < 0):
+        if not np.all(np.isfinite(codebook)):
+            raise ValueError("codebook must be finite")
+        # Compared directly: np.diff overflows when the codebook spans more
+        # than the float64 maximum.
+        if np.any(codebook[1:] < codebook[:-1]):
             raise ValueError("codebook must be sorted ascending")
         if thresholds.shape != (codebook.size - 1,):
             raise ValueError("need one threshold between each codeword pair")
@@ -159,22 +163,40 @@ def reconstruct(q) -> np.ndarray:
     raise TypeError(f"cannot reconstruct from {type(q).__name__}")
 
 
+def _to_unit(a, top=None):
+    """``(a * 2^e, e)``, scaling the float64 array ``a`` in place, with e
+    chosen to bring ``top`` (default max |a|) into [0.5, 1); e = 0 when top
+    is 0.
+
+    Scaling by 2^e is exact and leaves every comparison as it was, but keeps
+    squares and sums of the data from overflowing near the float64 maximum
+    and from underflowing for tiny magnitudes.
+    """
+    if top is None:
+        top = np.max(np.abs(a))
+    e = -int(np.frexp(top)[1])
+    return np.ldexp(a, e, out=a), e
+
+
+def _from_unit(value, e: int, power: int = 1):
+    """A degree-``power`` result on the unit scale of :func:`_to_unit`
+    mapped back by 2^(-power * e); inf only where the true value overflows."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(value, -power * e)
+
+
 def objective(x, q) -> QuantizationObjective:
     """Mean squared error between x and the reconstruction of ``q``.
 
-    The differences are squared times 2^2e, with the largest of them times
-    2^e in [0.5, 1) (see :func:`_scale_exponent`), so the mse is inf only
-    where the true value overflows.
+    The differences are squared on the unit scale of :func:`_to_unit`, so
+    the mse is inf only where the true value overflows.
     """
     x = as_float_vector(x)
     recon = reconstruct(q)
     if recon.size != x.size:
         raise ValueError(f"length mismatch: {x.size} vs {recon.size}")
-    diff = x - recon
-    e = _scale_exponent(np.max(np.abs(diff)))
-    np.ldexp(diff, e, out=diff)
-    with np.errstate(over="ignore"):
-        return QuantizationObjective(mse=float(np.ldexp(np.mean(diff * diff), -2 * e)))
+    diff, e = _to_unit(x - recon)
+    return QuantizationObjective(mse=float(_from_unit(np.mean(diff * diff), e, 2)))
 
 
 def foldable_planes(x, levels) -> np.ndarray:
@@ -309,25 +331,12 @@ def _fixed_points(mags: np.ndarray, cuts, gain, with_lower: bool):
     return accepted
 
 
-def _scale_exponent(top) -> int:
-    """The e that brings a positive ``top`` into [0.5, 1) as top * 2^e; 0
-    for top = 0.
-
-    Scaling data by 2^e is exact and leaves every comparison as it was, but
-    keeps squares and products of the data from overflowing for magnitudes
-    near the float64 maximum and from underflowing for tiny ones.
-    """
-    return -int(np.frexp(top)[1])
-
-
 def _best_levels(mags: np.ndarray, candidates) -> tuple[float, float]:
     """The candidate with the smallest realized error; ties to smaller v1.
 
-    Errors are scored on the magnitudes and levels times 2^e, which brings
-    the largest magnitude into [0.5, 1) (see :func:`_scale_exponent`).
+    Errors are scored on the unit scale of :func:`_to_unit`.
     """
-    e = _scale_exponent(mags[-1])
-    scaled = np.ldexp(mags, e)
+    scaled, e = _to_unit(mags.copy(), mags[-1])
     return min(candidates, key=lambda c: (_split_mse(scaled, *np.ldexp(c, e)), c[0]))
 
 
@@ -402,23 +411,29 @@ def quantize_lloyd(x, k: int) -> LloydQuantizer:
 
     The codebook starts at the evenly spaced sample quantiles
     (i + 0.5) / 2^k, falling back to an evenly spaced ramp over the data
-    range when those are not strictly increasing (for constant data the
-    ramp spans [lo, lo + max(1, |lo|)]).  A codeword that loses all its
-    members is reseeded at the datum with the largest reconstruction error,
-    unless that error is already zero.  Iteration stops at an exact fixed
-    point, when recentering returns the codebook bit for bit, at any scale;
-    a fit still moving after 500 steps has ``converged=False``.
+    range when those are not strictly increasing; for constant data the
+    ramp runs between the value and 0 (from 0 to 1 for zero data), which
+    keeps every codeword finite.  A codeword that loses all its members is
+    reseeded at the datum with the largest reconstruction error, unless
+    that error is already zero.  Iteration stops at an exact fixed point,
+    when recentering returns the codebook bit for bit; a fit still moving
+    after 500 steps has ``converged=False``.
+
+    The fit runs on the unit scale of :func:`_to_unit` and maps the
+    codebook and thresholds back, so it is exactly equivariant under
+    power-of-two scaling of x up to the float64 maximum.
     """
     x = as_float_vector(x)
     if not 1 <= k <= 16:
         raise ValueError("k must be between 1 and 16")
+    x, e = _to_unit(x.copy())
     n_codes = 2**k
     codebook = np.quantile(x, (np.arange(n_codes) + 0.5) / n_codes)
     if np.any(np.diff(codebook) <= 0):
         lo = float(np.min(x))
         hi = float(np.max(x))
         if lo == hi:
-            hi = lo + max(1.0, abs(lo))
+            lo, hi = (min(lo, 0.0), max(hi, 0.0)) if lo else (0.0, 1.0)
         codebook = np.linspace(lo, hi, n_codes)
 
     for iterations in range(1, _LLOYD_MAX_ITERS + 1):
@@ -445,8 +460,8 @@ def quantize_lloyd(x, k: int) -> LloydQuantizer:
         thresholds = 0.5 * (codebook[:-1] + codebook[1:])
         codes = np.searchsorted(thresholds, x, side="right")
     return LloydQuantizer(
-        codebook=codebook,
-        thresholds=thresholds,
+        codebook=_from_unit(codebook, e),
+        thresholds=_from_unit(thresholds, e),
         codes=codes,
         iterations=iterations,
         converged=converged,
@@ -464,7 +479,9 @@ def lloyd_to_scaled_binary(lq: LloydQuantizer) -> ScaledBinaryQuantization:
 
     The result is generally not foldable and its error is at least the
     Lloyd error; it exists so Lloyd reference fits can travel through the
-    packed scaled-binary pipeline.
+    packed scaled-binary pipeline.  The levels are solved for on the unit
+    scale of :func:`_to_unit`, so they stay finite for codebooks near the
+    float64 maximum.
     """
     n_codes = lq.codebook.size
     k = int(np.log2(n_codes))
@@ -474,9 +491,9 @@ def lloyd_to_scaled_binary(lq: LloydQuantizer) -> ScaledBinaryQuantization:
     digits = (indices[:, None] >> np.arange(k)[None, :]) & 1
     design = (2.0 * digits - 1.0).astype(np.float64)
     weights = np.sqrt(np.bincount(lq.codes, minlength=n_codes).astype(np.float64))
-    levels, *_ = np.linalg.lstsq(
-        design * weights[:, None], lq.codebook * weights, rcond=None
-    )
+    codebook, e = _to_unit(lq.codebook.copy())
+    levels, *_ = np.linalg.lstsq(design * weights[:, None], codebook * weights, rcond=None)
+    levels = _from_unit(levels, e)
     planes = (2 * ((lq.codes[None, :] >> np.arange(k)[:, None]) & 1) - 1).astype(np.int8)
     negative = levels < 0
     levels = np.abs(levels)

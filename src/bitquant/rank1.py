@@ -19,7 +19,7 @@ field a good or bad fit for a given matrix.  It needs singular values but
 no vectors, so it takes them all from one dense symmetric eigensolve of the
 smaller Gram matrix of |X| rather than from power iteration.
 ``channel_mean_rank1`` is the cheap per-row alternative (each row scaled by
-its mean magnitude) expressed in the same factorization form.
+its mean magnitude): the same triple, taken along the uniform right vector.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .quantizers import _scale_exponent, sign
+from .quantizers import _from_unit, _to_unit, sign
 from .tensor import as_float_matrix
 
 _REL_SLACK = 1e-9
@@ -121,13 +121,35 @@ def residual_fro2(x, f: Rank1Factorization) -> float:
     return float(np.sum(d * d))
 
 
-def _degenerate(shape) -> tuple[float, np.ndarray, np.ndarray]:
-    m, n = shape
-    u = np.zeros(m)
-    v = np.zeros(n)
-    u[0] = 1.0
-    v[0] = 1.0
-    return 0.0, u, v
+def _unit_magnitudes(x):
+    """X as a float matrix, and |X| on the unit scale of exponent e."""
+    x = as_float_matrix(x)
+    mags = np.abs(x)
+    return (x, *_to_unit(mags, mags.max()))
+
+
+def _triple(x, mags, v, e) -> Rank1Factorization:
+    """The factorization of X along the nonnegative unit right vector ``v``,
+    where ``mags`` is |X| on the unit scale of exponent e: u = |X| v
+    normalized and sigma its norm.  A zero product, as for X = 0, gives
+    sigma 0 and the first coordinate vectors."""
+    signs = sign(x)
+    y = mags @ v
+    norm_y = float(np.linalg.norm(y))
+    if norm_y == 0.0:
+        u, v = np.zeros(mags.shape[0]), np.zeros(mags.shape[1])
+        u[0] = v[0] = 1.0
+        return Rank1Factorization(sigma=0.0, u=u, v=v, signs=signs)
+    # Rounding can leave harmless -1e-17 entries in an otherwise nonnegative
+    # eigenvector; clamp rather than fail validation.
+    u = np.maximum(y / norm_y, 0.0)
+    v = np.maximum(v, 0.0)
+    return Rank1Factorization(
+        sigma=float(_from_unit(norm_y, e)),
+        u=u / np.linalg.norm(u),
+        v=v / np.linalg.norm(v),
+        signs=signs,
+    )
 
 
 def rank1_binary(x) -> Rank1Factorization:
@@ -138,21 +160,13 @@ def rank1_binary(x) -> Rank1Factorization:
     Convergence is declared when the Rayleigh quotient changes by at most
     1e-12 relative to its value; 10,000 steps without that raise
     :class:`ConvergenceError` with the best triple attached.  The iteration
-    runs on |X| times 2^e, with max |X| 2^e in [0.5, 1), so the result is
-    exactly equivariant under power-of-two scaling of X.
+    runs on the unit scale of |X|, so the result is exactly equivariant
+    under power-of-two scaling of X.
     """
-    x = as_float_matrix(x)
-    signs = sign(x)
-    mags = np.abs(x)
-    top = mags.max()
-    if top == 0.0:
-        sigma, u, v = _degenerate(x.shape)
-        return Rank1Factorization(sigma=sigma, u=u, v=v, signs=signs)
-    e = _scale_exponent(top)
-    np.ldexp(mags, e, out=mags)
-
+    x, mags, e = _unit_magnitudes(x)
     v = mags.sum(axis=0)
-    v = v / np.linalg.norm(v)
+    # X = 0 keeps v = 0, which settles at once to the degenerate triple.
+    v = v / (np.linalg.norm(v) or 1.0)
     rayleigh = None
     for _ in range(_POWER_MAX_ITERS):
         y = mags @ v
@@ -161,61 +175,25 @@ def rank1_binary(x) -> Rank1Factorization:
             break
         rayleigh = lam
         w = mags.T @ y
-        v = w / np.linalg.norm(w)
+        v = w / (np.linalg.norm(w) or 1.0)
     else:
         raise ConvergenceError(
             f"power iteration did not settle in {_POWER_MAX_ITERS} iterations",
-            partial=_build_triple(mags, v, signs, e),
+            partial=_triple(x, mags, v, e),
         )
-    return _build_triple(mags, v, signs, e)
-
-
-def _build_triple(mags, v, signs, e) -> Rank1Factorization:
-    """The triple of the unit vector ``v``, where ``mags`` is |X| times 2^e."""
-    y = mags @ v
-    norm_y = float(np.linalg.norm(y))
-    if norm_y == 0.0:
-        sigma, u, v = _degenerate(mags.shape)
-        return Rank1Factorization(sigma=sigma, u=u, v=v, signs=signs)
-    with np.errstate(over="ignore"):
-        sigma = float(np.ldexp(norm_y, -e))
-    u = y / norm_y
-    # Rounding can leave harmless -1e-17 entries in an otherwise nonnegative
-    # eigenvector; clamp rather than fail validation.
-    u = np.maximum(u, 0.0)
-    v = np.maximum(v, 0.0)
-    u = u / np.linalg.norm(u)
-    v = v / np.linalg.norm(v)
-    return Rank1Factorization(sigma=sigma, u=u, v=v, signs=signs)
+    return _triple(x, mags, v, e)
 
 
 def channel_mean_rank1(x) -> Rank1Factorization:
     """Per-row mean-magnitude scaling expressed as a rank-1 factorization.
 
-    Row i is scaled by mean |row i|; that scale column a and the constant
-    column 1 form the rank-1 field a 1^T = sigma u v^T with sigma equal to
-    the norm of a times sqrt(n).  The means are taken on |X| times 2^e, as
-    in :func:`rank1_binary`.
+    Row i is scaled by mean |row i|, which is the triple along the uniform
+    right vector v = 1/sqrt(n): u is the normalized row sums of |X| and
+    sigma their norm over sqrt(n).
     """
-    x = as_float_matrix(x)
-    signs = sign(x)
-    m, n = x.shape
-    mags = np.abs(x)
-    top = mags.max()
-    if top == 0.0:
-        sigma, u, v = _degenerate(x.shape)
-        return Rank1Factorization(sigma=sigma, u=u, v=v, signs=signs)
-    e = _scale_exponent(top)
-    a = np.mean(np.ldexp(mags, e, out=mags), axis=1)
-    norm_a = float(np.linalg.norm(a))
-    with np.errstate(over="ignore"):
-        sigma = float(np.ldexp(norm_a * np.sqrt(n), -e))
-    return Rank1Factorization(
-        sigma=sigma,
-        u=a / norm_a,
-        v=np.full(n, 1.0 / np.sqrt(n)),
-        signs=signs,
-    )
+    x, mags, e = _unit_magnitudes(x)
+    n = mags.shape[1]
+    return _triple(x, mags, np.full(n, 1.0 / np.sqrt(n)), e)
 
 
 def energy_profile(x, top_r: int) -> EnergyProfile:
@@ -225,30 +203,23 @@ def energy_profile(x, top_r: int) -> EnergyProfile:
     eigenvalues of the smaller Gram matrix of |X| by one dense symmetric
     eigensolve, taken in descending order and clamped at 0 (rounding can
     leave eigenvalues past the numerical rank slightly negative).  They are
-    computed on |X| times 2^e, as in :func:`rank1_binary`, and mapped back
-    by 2^-2e, so they underflow or overflow only where the true values do.
+    computed on the unit scale of |X|, as in :func:`rank1_binary`, and
+    mapped back, so they underflow or overflow only where the true values do.
     """
-    x = as_float_matrix(x)
-    m, n = x.shape
+    _, mags, e = _unit_magnitudes(x)
+    m, n = mags.shape
     if not 1 <= top_r <= min(m, n):
         raise ValueError(f"top_r must be in [1, {min(m, n)}]")
-    mags = np.abs(x)
-    top = mags.max()
-    if top == 0.0:
-        energies = (0.0,) * top_r
-        return EnergyProfile(
-            singular_energies=energies, total=0.0, ratio_1=0.0, remainder=0.0
-        )
-    e = _scale_exponent(top)
-    np.ldexp(mags, e, out=mags)
     total = float(np.sum(mags * mags))
+    if total == 0.0:
+        return EnergyProfile(
+            singular_energies=(0.0,) * top_r, total=0.0, ratio_1=0.0, remainder=0.0
+        )
     gram = mags.T @ mags if n <= m else mags @ mags.T
     energies = np.maximum(np.linalg.eigvalsh(gram)[::-1][:top_r], 0.0)
-    ratio = min(max(float(energies[0]) / total, 0.0), 1.0)
-    with np.errstate(over="ignore"):
-        return EnergyProfile(
-            singular_energies=tuple(np.ldexp(energies, -2 * e)),
-            total=float(np.ldexp(total, -2 * e)),
-            ratio_1=ratio,
-            remainder=float(np.ldexp(total - float(np.sum(energies)), -2 * e)),
-        )
+    return EnergyProfile(
+        singular_energies=tuple(_from_unit(energies, e, 2)),
+        total=float(_from_unit(total, e, 2)),
+        ratio_1=min(max(float(energies[0]) / total, 0.0), 1.0),
+        remainder=float(_from_unit(total - float(np.sum(energies)), e, 2)),
+    )

@@ -142,6 +142,17 @@ def test_quantize_lloyd_serializes_plane_form(tmp_path, capsys):
     assert load_packed(out).k == 2
 
 
+def test_quantize_lloyd_near_the_float64_maximum(tmp_path, capsys):
+    x_path = tmp_path / "x.csv"
+    x_path.write_text("1e308,1.5e308,1.7e308,-1e308,-1.6e308,3e307\n")
+    code, stdout, _ = run(
+        capsys, "quantize", "--in", str(x_path), "--method", "lloyd-1",
+        "--out", str(tmp_path / "q.bqt"),
+    )
+    assert code == 0
+    assert 1e308 < last_json(stdout)["levels"][0] < 1.7e308
+
+
 def test_quantize_errors(tmp_path, capsys):
     x_path = tmp_path / "x.fqt"
     run(capsys, "gen", "--dist", "normal", "--n", "10", "--out", str(x_path))

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -425,9 +426,12 @@ def test_lloyd_four_point_symmetric_is_exact():
 
 
 def test_lloyd_constant_data():
-    lq = quantize_lloyd([2.5, 2.5, 2.5], 1)
-    assert mse([2.5, 2.5, 2.5], lq) == 0.0
-    assert lq.converged
+    # The ramp runs toward 0, so even 2^1023 keeps its empty codewords finite.
+    for value in (2.5, -2.5, 0.0, 2.0**1023, -(2.0**1023)):
+        for k in (1, 2):
+            lq = quantize_lloyd([value] * 3, k)
+            assert np.all(np.isfinite(lq.codebook)) and lq.converged
+            assert mse([value] * 3, lq) == 0.0
 
 
 def test_lloyd_fewer_distinct_values_than_codewords():
@@ -479,16 +483,30 @@ def test_converged_lloyd_is_an_exact_fixed_point(vector_battery):
             assert np.array_equal(sums[occupied] / counts[occupied], lq.codebook[occupied])
 
 
-@pytest.mark.parametrize("power", [-600, -200, 200, 600])
+@pytest.mark.parametrize("power", [-600, -200, 200, 600, 1018, 1020])
 def test_lloyd_power_of_two_scaling_is_exact(power):
     # A stopping rule relative to a floored codebook magnitude stopped the
-    # 2^-200 fit after one step.
+    # 2^-200 fit after one step; unscaled cell sums overflowed at 2^1018.
     x = generate(SyntheticSpec("laplace", 5000, 4, (1.0,)))
     for k in (1, 2, 3):
         base, got = quantize_lloyd(x, k), quantize_lloyd(np.ldexp(x, power), k)
         assert np.array_equal(got.codebook, np.ldexp(base.codebook, power))
         assert np.array_equal(got.codes, base.codes)
         assert (got.iterations, got.converged) == (base.iterations, base.converged)
+
+
+# Its cell sums overflow unless the fit runs on the unit scale.
+NEAR_MAX = [1e308, 1.5e308, 1.7e308, -1e308, -1.6e308, 3e307]
+
+
+def test_lloyd_near_the_float64_maximum_stays_finite():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lq = quantize_lloyd(NEAR_MAX, 1)
+    assert np.all(np.isfinite(lq.codebook)) and np.all(np.isfinite(lq.thresholds))
+    assert lq.converged
+    assert np.array_equal(lq.codes, [1, 1, 1, 0, 0, 0])
+    np.testing.assert_allclose(lq.codebook, [-2.3 / 3 * 1e308, 1.4e308], rtol=1e-15)
 
 
 def test_no_fit_beats_the_optimal_k_level_quantizer(vector_battery):
@@ -514,6 +532,24 @@ def test_lloyd_validation():
             iterations=1,
             converged=True,
         )
+    with pytest.raises(ValueError, match="finite"):
+        LloydQuantizer(
+            codebook=np.array([1e308, np.inf]),
+            thresholds=np.array([1.5e308]),
+            codes=np.array([0]),
+            iterations=1,
+            converged=True,
+        )
+    # A codebook spanning more than the float64 maximum is still in order.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        LloydQuantizer(
+            codebook=np.array([-1.7e308, 1.7e308]),
+            thresholds=np.array([0.0]),
+            codes=np.array([0, 1]),
+            iterations=1,
+            converged=True,
+        )
 
 
 # --- Lloyd -> scaled binary ----------------------------------------------
@@ -536,6 +572,14 @@ def test_lloyd_projection_error_at_least_lloyd_error(vector_battery):
         # Slack covers rounding: the codewords are cell means as computed
         # in floating point, not the exact ones.
         assert mse(x, q) >= mse(x, lq) - 1e-8 * max(1.0, mse(x, lq))
+
+
+def test_lloyd_projection_near_the_float64_maximum_is_finite():
+    laplace = np.ldexp(generate(SyntheticSpec("laplace", 5000, 4, (1.0,))), 1020)
+    for x in (NEAR_MAX, laplace):
+        for k in (1, 2, 3):
+            q = lloyd_to_scaled_binary(quantize_lloyd(x, k))
+            assert np.all(np.isfinite(q.levels)) and q.levels[0] > 0
 
 
 def test_lloyd_projection_requires_power_of_two_codebook():
