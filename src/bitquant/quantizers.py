@@ -36,7 +36,7 @@ Conventions used throughout (and relied on by exact tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,7 +109,9 @@ class LloydQuantizer:
     ``codebook`` holds the codewords sorted ascending, ``thresholds`` the
     midpoints between adjacent codewords (assignment boundaries, ties going
     up), and ``codes`` the per-element codeword indices under the final
-    codebook.
+    codebook.  ``reseeds`` is a diagnostic, the number of empty codewords
+    the fit reseeded (None when not recorded); it takes no part in
+    equality or repr.
     """
 
     codebook: np.ndarray
@@ -117,6 +119,7 @@ class LloydQuantizer:
     codes: np.ndarray
     iterations: int
     converged: bool
+    reseeds: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         codebook = np.ascontiguousarray(self.codebook, dtype=np.float64)
@@ -413,11 +416,20 @@ def quantize_lloyd(x, k: int) -> LloydQuantizer:
     (i + 0.5) / 2^k, falling back to an evenly spaced ramp over the data
     range when those are not strictly increasing; for constant data the
     ramp runs between the value and 0 (from 0 to 1 for zero data), which
-    keeps every codeword finite.  A codeword that loses all its members is
-    reseeded at the datum with the largest reconstruction error, unless
-    that error is already zero.  Iteration stops at an exact fixed point,
+    keeps every codeword finite.  Iteration stops at an exact fixed point,
     when recentering returns the codebook bit for bit; a fit still moving
     after 500 steps has ``converged=False``.
+
+    The data is sorted once, so every cell is a contiguous slice found by
+    one ``searchsorted`` of the thresholds, and the cell means are one
+    ``np.add.reduceat`` over the slices divided by their counts.  The
+    result depends on the values of x only, not on their order.
+
+    A codeword that loses all its members is reseeded at the datum farthest
+    from its cell's new codeword, unless that distance is zero.  Distances
+    are compared exactly, ties go to the smaller datum, and each datum
+    seeds at most one codeword per step.  ``reseeds`` counts the reseeded
+    codewords over the whole fit.
 
     The fit runs on the unit scale of :func:`_to_unit` and maps the
     codebook and thresholds back, so it is exactly equivariant under
@@ -428,44 +440,84 @@ def quantize_lloyd(x, k: int) -> LloydQuantizer:
         raise ValueError("k must be between 1 and 16")
     x, e = _to_unit(x.copy())
     n_codes = 2**k
+    xs = np.sort(x)
     codebook = np.quantile(x, (np.arange(n_codes) + 0.5) / n_codes)
     if np.any(np.diff(codebook) <= 0):
-        lo = float(np.min(x))
-        hi = float(np.max(x))
+        lo, hi = float(xs[0]), float(xs[-1])
         if lo == hi:
             lo, hi = (min(lo, 0.0), max(hi, 0.0)) if lo else (0.0, 1.0)
         codebook = np.linspace(lo, hi, n_codes)
 
+    reseeds = 0
     for iterations in range(1, _LLOYD_MAX_ITERS + 1):
         thresholds = 0.5 * (codebook[:-1] + codebook[1:])
-        codes = np.searchsorted(thresholds, x, side="right")
-        counts = np.bincount(codes, minlength=n_codes)
-        sums = np.bincount(codes, weights=x, minlength=n_codes)
-        new_codebook = codebook.copy()
+        starts = np.concatenate(([0], np.searchsorted(xs, thresholds, side="left")))
+        counts = np.diff(starts, append=xs.size)
         occupied = counts > 0
-        new_codebook[occupied] = sums[occupied] / counts[occupied]
-        errors = None if occupied.all() else np.abs(x - new_codebook[codes])
-        for empty in np.nonzero(~occupied)[0]:
-            worst = int(np.argmax(errors))
-            if errors[worst] == 0.0:
-                break
-            new_codebook[empty] = x[worst]
-            errors[worst] = 0.0
+        starts, counts = starts[occupied], counts[occupied]
+        means = np.add.reduceat(xs, starts) / counts
+        new_codebook = codebook.copy()
+        new_codebook[occupied] = means
+        if not occupied.all():
+            reseeds += _reseed(new_codebook, np.flatnonzero(~occupied), xs, starts, counts, means)
         new_codebook = np.sort(new_codebook)
         converged = np.array_equal(new_codebook, codebook)
         if converged:
             break
         codebook = new_codebook
-    else:
-        thresholds = 0.5 * (codebook[:-1] + codebook[1:])
-        codes = np.searchsorted(thresholds, x, side="right")
+
+    thresholds = 0.5 * (codebook[:-1] + codebook[1:])
     return LloydQuantizer(
         codebook=_from_unit(codebook, e),
         thresholds=_from_unit(thresholds, e),
-        codes=codes,
+        codes=np.searchsorted(thresholds, x, side="right"),
         iterations=iterations,
         converged=converged,
+        reseeds=reseeds,
     )
+
+
+def _reseed(codebook, empty, xs, starts, counts, means) -> int:
+    """Set each ``codebook[j]`` for j in ``empty`` to the remaining datum
+    farthest from its cell mean; return how many were set.
+
+    Occupied cell i is the slice of ``counts[i]`` sorted data from
+    ``xs[starts[i]]`` on, with mean ``means[i]``.  Its farthest datum is an
+    end of the slice, since |x - m| is convex in x, so the candidates are
+    the ends of the cells, and a used end moves one datum inward.  Ties go
+    to the smaller datum.
+    """
+    cells = means.size
+    ends = np.concatenate((starts, starts + counts - 1))
+    m = np.concatenate((means, means))
+    datum = xs[ends]
+    dist, error = _exact_distance(datum, m)
+    for done, j in enumerate(empty):
+        top = dist.max()
+        if top <= 0.0:
+            return done
+        tied = np.flatnonzero(dist == top)
+        tied = tied[error[tied] == error[tied].max()]
+        best = tied[np.argmin(datum[tied])]
+        codebook[j] = datum[best]
+        i = best % cells
+        ends[best] += 1 if best < cells else -1
+        if ends[i] > ends[i + cells]:
+            dist[[i, i + cells]] = -np.inf
+        else:
+            datum[best] = xs[ends[best]]
+            dist[best], error[best] = _exact_distance(datum[best], m[best])
+    return len(empty)
+
+
+def _exact_distance(x, m):
+    """|x - m| as the pair (rounded value, rounding error), from Knuth's
+    two-sum with the error's sign folded; the pairs order the exact
+    distances lexicographically."""
+    diff = x - m
+    virtual = diff - x
+    error = (x - (diff - virtual)) - (m + virtual)
+    return np.abs(diff), np.where(diff < 0, -error, error)
 
 
 def lloyd_to_scaled_binary(lq: LloydQuantizer) -> ScaledBinaryQuantization:

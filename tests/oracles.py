@@ -6,9 +6,10 @@ library code: eigenvalues come from a cyclic Jacobi sweep or a closed-form
 pure-Python integer loops instead of popcounts, and the two-bit and
 ternary bounds from a full cut enumeration or a level grid with direct
 residuals instead of the screened cut scan, the condition curve's fixed
-points from slice means at every cut instead of running sums, and the best
+points from slice means at every cut instead of running sums, the best
 K-level quantizer from dynamic programming over every partition instead of
-alternating assignment and recentring.
+alternating assignment and recentring, and Lloyd's iteration from
+per-element assignment and bincount sums instead of sorted slices.
 """
 
 from __future__ import annotations
@@ -176,3 +177,40 @@ def optimal_k_level_mse(x, levels: int) -> float:
         sse += float(np.sum((group - np.mean(group)) ** 2))
         end = start
     return sse / n
+
+
+def lloyd_reference(x, k: int):
+    """Lloyd's iteration with the start and stopping rule of
+    ``quantize_lloyd``, run element by element: each step assigns every x in
+    input order, takes the cell means from ``bincount`` sums, and reseeds an
+    empty codeword by an argmax over all elements, ties to the smaller
+    datum.  Returns (codebook, codes, iterations, converged).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n_codes = 2**k
+    codebook = np.quantile(x, (np.arange(n_codes) + 0.5) / n_codes)
+    if np.any(np.diff(codebook) <= 0):
+        lo, hi = float(np.min(x)), float(np.max(x))
+        if lo == hi:
+            lo, hi = (min(lo, 0.0), max(hi, 0.0)) if lo else (0.0, 1.0)
+        codebook = np.linspace(lo, hi, n_codes)
+    for iterations in range(1, 501):
+        codes = np.searchsorted(0.5 * (codebook[:-1] + codebook[1:]), x, side="right")
+        counts = np.bincount(codes, minlength=n_codes)
+        sums = np.bincount(codes, weights=x, minlength=n_codes)
+        new = codebook.copy()
+        occupied = counts > 0
+        new[occupied] = sums[occupied] / counts[occupied]
+        errors = np.abs(x - new[codes])
+        for empty in np.flatnonzero(~occupied):
+            worst = np.lexsort((x, -errors))[0]
+            if errors[worst] == 0.0:
+                break
+            new[empty] = x[worst]
+            errors[worst] = 0.0
+        new = np.sort(new)
+        if np.array_equal(new, codebook):
+            return codebook, codes, iterations, True
+        codebook = new
+    codes = np.searchsorted(0.5 * (codebook[:-1] + codebook[1:]), x, side="right")
+    return codebook, codes, iterations, False

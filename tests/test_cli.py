@@ -2,12 +2,23 @@ import json
 import re
 import shlex
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bitquant import ConvergenceError, load_packed, load_tensor, quantize_ls2, save_tensor
+from bitquant import (
+    ConvergenceError,
+    load_packed,
+    load_tensor,
+    lloyd_to_scaled_binary,
+    pack_quantization,
+    quantize_lloyd,
+    quantize_ls2,
+    save_packed,
+    save_tensor,
+)
 from bitquant import cli
 from bitquant.cli import main
 
@@ -140,6 +151,25 @@ def test_quantize_lloyd_serializes_plane_form(tmp_path, capsys):
     assert code == 0
     assert last_json(stdout)["method"] == "lloyd"
     assert load_packed(out).k == 2
+
+
+def test_quantize_lloyd_output_ignores_the_reseed_count(tmp_path, capsys):
+    # This fit reseeds one codeword; the count stays out of the summary
+    # and the BQT bytes.
+    x = np.array([0.0, 1.0, 2.0, 4.0, 5.0])
+    x_path = tmp_path / "x.csv"
+    save_tensor(x, x_path)
+    out = tmp_path / "q.bqt"
+    code, stdout, _ = run(
+        capsys, "quantize", "--in", str(x_path), "--method", "lloyd-2", "--out", str(out)
+    )
+    assert code == 0
+    assert set(last_json(stdout)) == {"method", "k", "n", "mse", "levels", "out"}
+    lq = quantize_lloyd(x, 2)
+    assert lq.reseeds == 1
+    bare = tmp_path / "bare.bqt"
+    save_packed(pack_quantization(lloyd_to_scaled_binary(replace(lq, reseeds=None))), bare)
+    assert out.read_bytes() == bare.read_bytes()
 
 
 def test_quantize_lloyd_near_the_float64_maximum(tmp_path, capsys):

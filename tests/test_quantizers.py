@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,12 @@ from bitquant import (
     sign,
 )
 
-from oracles import exhaustive_two_bit_mse, optimal_k_level_mse, ternary_best_on_grid
+from oracles import (
+    exhaustive_two_bit_mse,
+    lloyd_reference,
+    optimal_k_level_mse,
+    ternary_best_on_grid,
+)
 
 
 def mse(x, q) -> float:
@@ -450,6 +456,69 @@ def test_lloyd_reseeds_codewords_onto_outliers():
     assert lq.converged
 
 
+def test_lloyd_matches_the_element_loop_reference(vector_battery):
+    # The same cells, steps and codes as the per-element loop; the cell
+    # sums differ only in summation order.
+    reseeding = [[0.0, 1.0, 2.0, 4.0, 5.0], [0.0] * 12 + [13.0, 13.25, 13.5, 14.0]]
+    for x in vector_battery + reseeding:
+        for k in (1, 2, 3):
+            lq = quantize_lloyd(x, k)
+            codebook, codes, iterations, converged = lloyd_reference(x, k)
+            assert (lq.iterations, lq.converged) == (iterations, converged)
+            assert np.array_equal(lq.codes, codes)
+            scale = float(np.max(np.abs(codebook)))
+            np.testing.assert_allclose(lq.codebook, codebook, rtol=0, atol=1e-13 * scale)
+
+
+def test_lloyd_reseed_ties_go_to_the_smaller_datum():
+    # The quantile start leaves codeword 2 empty, and 1, 2, 4 and 5 all lie
+    # 0.5 from their cell means: the smallest, 1, reseeds it in either order.
+    for x in ([0.0, 1.0, 2.0, 4.0, 5.0], [5.0, 4.0, 2.0, 1.0, 0.0]):
+        lq = quantize_lloyd(x, 2)
+        assert lq.codebook.tolist() == [0.0, 1.0, 2.0, 4.5]
+        assert lq.reseeds == 1 and lq.converged
+
+
+def test_lloyd_reseeds_move_inward_from_a_cell_end():
+    # The ramp start 0, 2, ..., 14 puts 13, 13.25, 13.5 and 14 in the top
+    # cell (mean 13.4375) and leaves six codewords empty.  They are reseeded
+    # at 14, then at 13 and 13.25 inward from the low end, then at 13.5; the
+    # last two keep their ramp values 10 and 12, as no datum is left with a
+    # nonzero distance.
+    x = [0.0] * 12 + [13.0, 13.25, 13.5, 14.0]
+    lq = quantize_lloyd(x, 3)
+    assert lq.codebook.tolist() == [0.0, 10.0, 12.0, 13.0, 13.25, 13.4375, 13.5, 14.0]
+    assert lq.reseeds == 4 and lq.converged
+    assert mse(x, lq) == 0.0
+
+
+def test_lloyd_reseed_count_stays_out_of_equality_and_repr():
+    lq = quantize_lloyd([0.0, 1.0, 2.0, 4.0, 5.0], 2)
+    bare = replace(lq, reseeds=None)
+    assert lq.reseeds == 1 and bare.reseeds is None
+    assert lq == bare
+    assert repr(lq) == repr(bare) and "reseeds" not in repr(lq)
+    assert quantize_lloyd(np.linspace(-1.0, 1.0, 64), 2).reseeds == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.lists(two_plane_entries, min_size=1, max_size=50), ulp_clusters),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_lloyd_property_ignores_input_order(xs, k, data):
+    x = np.asarray(xs, dtype=np.float64)
+    p = np.array(data.draw(st.permutations(range(x.size))), dtype=np.intp)
+    lq, got = quantize_lloyd(x, k), quantize_lloyd(x[p], k)
+    assert np.array_equal(got.codebook, lq.codebook)
+    assert np.array_equal(got.thresholds, lq.thresholds)
+    assert np.array_equal(got.codes, lq.codes[p])
+    assert (got.iterations, got.converged, got.reseeds) == (
+        lq.iterations, lq.converged, lq.reseeds
+    )
+
+
 def test_lloyd_final_codes_are_nearest(vector_battery):
     for x in vector_battery[:6]:
         lq = quantize_lloyd(x, 2)
@@ -466,21 +535,25 @@ def test_lloyd_centroids_match_members_at_convergence():
     for j in range(lq.codebook.size):
         members = x[lq.codes == j]
         if members.size:
-            assert abs(float(np.mean(members)) - lq.codebook[j]) <= 1e-6 * scale
+            assert abs(float(np.mean(members)) - lq.codebook[j]) <= 1e-12 * scale
 
 
 def test_converged_lloyd_is_an_exact_fixed_point(vector_battery):
-    # One more assignment and recentring step returns the fit bit for bit.
+    # One more assignment and recentring step returns the fit bit for bit:
+    # the cells are slices of the sorted data, and their means are one
+    # reduceat over the slices divided by the counts.
     for x in vector_battery:
+        xs = np.sort(x)
         for k in (1, 2, 3):
             lq = quantize_lloyd(x, k)
             assert lq.converged
             codes = np.searchsorted(lq.thresholds, x, side="right")
             assert np.array_equal(codes, lq.codes)
-            counts = np.bincount(codes, minlength=2**k)
-            sums = np.bincount(codes, weights=x, minlength=2**k)
+            starts = np.concatenate(([0], np.searchsorted(xs, lq.thresholds, side="left")))
+            counts = np.diff(starts, append=xs.size)
             occupied = counts > 0
-            assert np.array_equal(sums[occupied] / counts[occupied], lq.codebook[occupied])
+            means = np.add.reduceat(xs, starts[occupied]) / counts[occupied]
+            assert np.array_equal(means, lq.codebook[occupied])
 
 
 @pytest.mark.parametrize("power", [-600, -200, 200, 600, 1018, 1020])
