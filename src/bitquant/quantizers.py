@@ -46,7 +46,7 @@ from .tensor import as_float_vector
 def sign(values):
     """Sign with sign(0) = +1; +-1 as int8, matching the input shape."""
     arr = np.asarray(values)
-    out = np.where(arr < 0, -1, 1).astype(np.int8)
+    out = 1 - 2 * (arr < 0).view(np.int8)
     if arr.ndim == 0:
         return int(out[()])
     return out
@@ -211,7 +211,7 @@ def foldable_planes(x, levels) -> np.ndarray:
     residual = x
     for i, v in enumerate(levels):
         planes[i] = sign(residual)
-        residual = residual - v * planes[i].astype(np.float64)
+        residual = residual - v * planes[i]
     return planes
 
 
@@ -253,7 +253,7 @@ def quantize_greedy(x, k: int) -> ScaledBinaryQuantization:
     for i in range(k):
         levels[i] = _mean_abs(residual)
         planes[i] = sign(residual)
-        residual = residual - levels[i] * planes[i].astype(np.float64)
+        residual = residual - levels[i] * planes[i]
     return ScaledBinaryQuantization(levels=levels, planes=planes, method="greedy")
 
 
@@ -274,12 +274,13 @@ def quantize_greedy(x, k: int) -> ScaledBinaryQuantization:
 #
 # so the optimum is an argmax of the gain over t.  A cut inside a run of
 # equal magnitudes is never optimal (moving a tied element to the nearer
-# centre strictly lowers the error), so only run boundaries are scanned.  The
-# optimal cut is a Lloyd fixed point: its level, (m_lo + m_hi) / 2 for ls2
-# and m_hi / 2 for ternary, satisfies a[t-1] <= level < a[t].
+# centre strictly lowers the error), so every cut is scanned and those inside
+# a run, where a[t-1] == a[t], get gain -inf.  The optimal cut is a Lloyd
+# fixed point: its level, (m_lo + m_hi) / 2 for ls2 and m_hi / 2 for ternary,
+# satisfies a[t-1] <= level < a[t].
 #
 # The screening gains carry rounding, so the argmax and its neighbouring
-# boundary cuts are recomputed with numpy's pairwise mean over the sorted
+# run-boundary cuts are recomputed with numpy's pairwise mean over the sorted
 # slices, and a cut is kept only when its level satisfies that condition in
 # exact float arithmetic.  The sums are taken on the offsets
 # (a - a_0) / (a_{n-1} - a_0) in [0, 1]: unscaled, the squared sums underflow
@@ -300,28 +301,56 @@ def _split_mse(mags: np.ndarray, v1: float, v2: float) -> float:
     return (float(np.sum(low * low)) + float(np.sum(high * high))) / mags.size
 
 
-def _cut_gains(mags: np.ndarray):
-    """Run-boundary cuts of the sorted, not identically zero magnitudes and
-    the screening gains of ls2 and of ternary at each of them."""
+def _cut_sums(mags: np.ndarray):
+    """The sums both screening gains share, over every cut t = 0..n-1 of
+    the sorted, not identically zero magnitudes: the offsets, their suffix
+    sums S_t and the upper group sizes n - t as floats."""
     n = mags.size
     lo, hi = mags[0], mags[-1]
-    cuts = np.concatenate(([0], np.nonzero(mags[:-1] < mags[1:])[0] + 1))
     width = hi - lo
-    offsets = (mags - lo) / width if width > 0 else np.zeros(n)
-    prefix = np.concatenate(([0.0], np.cumsum(offsets[:-1])))[cuts]
-    suffix = np.cumsum(offsets[::-1])[::-1][cuts]
-    ls2 = np.divide(prefix * prefix, cuts, out=np.zeros(cuts.size), where=cuts > 0)
-    ls2 += suffix * suffix / (n - cuts)
-    upper = (n - cuts) * (lo / hi) + (width / hi) * suffix
-    return cuts, ls2, upper * upper / (n - cuts)
+    offsets = mags - lo
+    if width > 0:
+        offsets /= width
+    suffix = np.cumsum(offsets[::-1])[::-1]
+    return offsets, suffix, np.arange(n, 0, -1, dtype=np.float64)
 
 
-def _fixed_points(mags: np.ndarray, cuts, gain, with_lower: bool):
-    """Exactly self-consistent ``(v1, v2)`` levels among the cut with the
-    largest screening gain and its neighbouring cuts."""
+def _ls2_gain(offsets, suffix, upper):
+    """ls2's screening gain P_t^2 / t + S_t^2 / (n - t) at every cut."""
+    gain = suffix * suffix
+    gain /= upper
+    prefix = np.cumsum(offsets[:-1])
+    prefix *= prefix
+    prefix /= upper[:0:-1]  # t = 1, ..., n - 1
+    gain[1:] += prefix
+    return gain
+
+
+def _ternary_gain(mags, suffix, upper):
+    """Ternary's screening gain at every cut, its suffix sums mapped back
+    from the offsets to a / a_{n-1}."""
+    lo, hi = mags[0], mags[-1]
+    gain = upper * (lo / hi)
+    gain += ((hi - lo) / hi) * suffix
+    gain *= gain
+    gain /= upper
+    return gain
+
+
+def _fixed_points(mags: np.ndarray, gain, with_lower: bool):
+    """Exactly self-consistent ``(v1, v2)`` levels among the run-boundary
+    cut with the largest screening gain and its neighbouring boundary cuts.
+    Overwrites the gains of cuts inside runs with -inf."""
+    gain[1:][mags[:-1] == mags[1:]] = -np.inf
     best = int(np.argmax(gain))
+    cuts = [best]
+    if best > 0:
+        cuts.insert(0, int(np.searchsorted(mags, mags[best - 1], side="left")))
+    after = int(np.searchsorted(mags, mags[best], side="right"))
+    if after < mags.size:
+        cuts.append(after)
     accepted = []
-    for ti in cuts[max(best - 1, 0) : best + 2]:
+    for ti in cuts:
         m_lo = float(np.mean(mags[:ti])) if ti > 0 else 0.0
         m_hi = float(np.mean(mags[ti:]))
         if with_lower:
@@ -368,8 +397,9 @@ def quantize_ternary(x) -> ScaledBinaryQuantization:
     mags = np.sort(np.abs(x))
     if mags[-1] == 0.0:
         return _zero_quantization(x.size, 2, "ternary")
-    cuts, _, gain = _cut_gains(mags)
-    levels = np.array(_best_levels(mags, _fixed_points(mags, cuts, gain, False)))
+    _, suffix, upper = _cut_sums(mags)
+    gain = _ternary_gain(mags, suffix, upper)
+    levels = np.array(_best_levels(mags, _fixed_points(mags, gain, False)))
     return ScaledBinaryQuantization(
         levels=levels, planes=foldable_planes(x, levels), method="ternary"
     )
@@ -389,11 +419,11 @@ def quantize_ls2(x) -> ScaledBinaryQuantization:
     mags = np.sort(np.abs(x))
     if mags[-1] == 0.0:
         return _zero_quantization(x.size, 2, "ls2")
-    cuts, ls2_gain, ternary_gain = _cut_gains(mags)
+    offsets, suffix, upper = _cut_sums(mags)
     candidates = (
-        _fixed_points(mags, cuts, ls2_gain, True)
+        _fixed_points(mags, _ls2_gain(offsets, suffix, upper), True)
         + [(float(np.mean(mags)), 0.0)]
-        + _fixed_points(mags, cuts, ternary_gain, False)
+        + _fixed_points(mags, _ternary_gain(mags, suffix, upper), False)
     )
     levels = np.array(_best_levels(mags, candidates))
     return ScaledBinaryQuantization(
@@ -413,10 +443,10 @@ def quantize_lloyd(x, k: int) -> LloydQuantizer:
     assignment and codeword recentering.
 
     The codebook starts at the evenly spaced sample quantiles
-    (i + 0.5) / 2^k, falling back to an evenly spaced ramp over the data
-    range when those are not strictly increasing; for constant data the
-    ramp runs between the value and 0 (from 0 to 1 for zero data), which
-    keeps every codeword finite.  Iteration stops at an exact fixed point,
+    (i + 0.5) / 2^k, read off the sorted data, falling back to an evenly
+    spaced ramp over the data range when those are not strictly increasing;
+    for constant data the ramp runs between the value and 0 (from 0 to 1 for
+    zero data), which keeps every codeword finite.  Iteration stops at an exact fixed point,
     when recentering returns the codebook bit for bit; a fit still moving
     after 500 steps has ``converged=False``.
 
@@ -441,7 +471,7 @@ def quantize_lloyd(x, k: int) -> LloydQuantizer:
     x, e = _to_unit(x.copy())
     n_codes = 2**k
     xs = np.sort(x)
-    codebook = np.quantile(x, (np.arange(n_codes) + 0.5) / n_codes)
+    codebook = _sorted_quantiles(xs, (np.arange(n_codes) + 0.5) / n_codes)
     if np.any(np.diff(codebook) <= 0):
         lo, hi = float(xs[0]), float(xs[-1])
         if lo == hi:
@@ -475,6 +505,26 @@ def quantize_lloyd(x, k: int) -> LloydQuantizer:
         converged=converged,
         reseeds=reseeds,
     )
+
+
+def _sorted_quantiles(xs, q):
+    """``np.quantile(xs, q)`` for ascending ``xs``, read off by index.
+
+    This is numpy's default linear method (Hyndman & Fan type 7): the
+    virtual index (n - 1) * q, and numpy's interpolation between its floor
+    and the next datum, which steps down from the upper datum when the
+    fraction is at least 0.5.  Only a signed zero may differ, as sorting
+    and partitioning order -0.0 and 0.0 differently.
+    """
+    virtual = (xs.size - 1) * q
+    below = np.floor(virtual)
+    t = virtual - below
+    below = below.astype(np.intp)
+    a, b = xs[below], xs[np.minimum(below + 1, xs.size - 1)]
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    return out
 
 
 def _reseed(codebook, empty, xs, starts, counts, means) -> int:

@@ -8,8 +8,10 @@ ternary bounds from a full cut enumeration or a level grid with direct
 residuals instead of the screened cut scan, the condition curve's fixed
 points from slice means at every cut instead of running sums, the best
 K-level quantizer from dynamic programming over every partition instead of
-alternating assignment and recentring, and Lloyd's iteration from
-per-element assignment and bincount sums instead of sorted slices.
+alternating assignment and recentring, Lloyd's iteration from
+per-element assignment and bincount sums instead of sorted slices, and the
+two-plane cut scan from gathers at the run boundaries instead of masked
+gains over every cut.
 """
 
 from __future__ import annotations
@@ -214,3 +216,68 @@ def lloyd_reference(x, k: int):
         codebook = new
     codes = np.searchsorted(0.5 * (codebook[:-1] + codebook[1:]), x, side="right")
     return codebook, codes, iterations, False
+
+
+def run_boundary_two_plane_fit(x, method: str):
+    """(levels, planes) of ``quantize_ls2`` or ``quantize_ternary`` from a
+    cut scan over the run boundaries of the sorted magnitudes only.
+
+    The boundary cuts come from ``np.nonzero`` and every sum is gathered at
+    them; the exact slice-mean recompute covers the argmax and its
+    neighbours in that cut list.  The candidates are scored by their
+    realized error on the magnitudes scaled by 2^e, ties to the smaller v1,
+    and the planes are folded with ``np.where`` signs.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    mags = np.sort(np.abs(x))
+    n = mags.size
+    if mags[-1] == 0.0:
+        return np.zeros(2), np.ones((2, n), dtype=np.int8)
+    lo, hi = mags[0], mags[-1]
+    cuts = np.concatenate(([0], np.nonzero(mags[:-1] < mags[1:])[0] + 1))
+    width = hi - lo
+    offsets = (mags - lo) / width if width > 0 else np.zeros(n)
+    prefix = np.concatenate(([0.0], np.cumsum(offsets[:-1])))[cuts]
+    suffix = np.cumsum(offsets[::-1])[::-1][cuts]
+    ls2 = np.divide(prefix * prefix, cuts, out=np.zeros(cuts.size), where=cuts > 0)
+    ls2 += suffix * suffix / (n - cuts)
+    upper = (n - cuts) * (lo / hi) + (width / hi) * suffix
+    ternary = upper * upper / (n - cuts)
+
+    def fixed_points(gain, with_lower):
+        best = int(np.argmax(gain))
+        accepted = []
+        for ti in cuts[max(best - 1, 0) : best + 2]:
+            m_lo = float(np.mean(mags[:ti])) if ti > 0 else 0.0
+            m_hi = float(np.mean(mags[ti:]))
+            if with_lower:
+                v1, v2 = 0.5 * (m_lo + m_hi), 0.5 * (m_hi - m_lo)
+            else:
+                v1 = v2 = 0.5 * m_hi
+            if (ti == 0 or mags[ti - 1] <= v1) and v1 < mags[ti] and v2 >= 0:
+                accepted.append((v1, v2))
+        return accepted
+
+    if method == "ls2":
+        candidates = (
+            fixed_points(ls2, True) + [(float(np.mean(mags)), 0.0)] + fixed_points(ternary, False)
+        )
+    else:
+        candidates = fixed_points(ternary, False)
+    e = -int(np.frexp(hi)[1])
+    scaled = np.ldexp(mags, e)
+
+    def realized_mse(c):
+        v1, v2 = np.ldexp(c, e)
+        cut = int(np.searchsorted(scaled, v1, side="left"))
+        low = scaled[:cut] - (v1 - v2)
+        high = scaled[cut:] - (v1 + v2)
+        return (float(np.sum(low * low)) + float(np.sum(high * high))) / n
+
+    levels = np.array(min(candidates, key=lambda c: (realized_mse(c), c[0])))
+    planes = np.empty((2, n), dtype=np.int8)
+    residual = x
+    for i, v in enumerate(levels):
+        planes[i] = np.where(residual < 0, -1, 1).astype(np.int8)
+        residual = residual - v * planes[i].astype(np.float64)
+    return levels, planes

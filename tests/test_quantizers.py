@@ -1,3 +1,4 @@
+import time
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -24,11 +25,13 @@ from bitquant import (
     reconstruct,
     sign,
 )
+from bitquant.quantizers import _sorted_quantiles
 
 from oracles import (
     exhaustive_two_bit_mse,
     lloyd_reference,
     optimal_k_level_mse,
+    run_boundary_two_plane_fit,
     ternary_best_on_grid,
 )
 
@@ -46,6 +49,21 @@ def test_sign_of_zero_is_plus_one():
     out = sign(np.array([-2.0, 0.0, 3.0]))
     assert out.dtype == np.int8
     assert out.tolist() == [-1, 1, 1]
+
+
+def test_sign_matches_the_where_form_bitwise():
+    def where_form(a):
+        return np.where(a < 0, -1, 1).astype(np.int8)
+
+    values = np.array([-0.0, 0.0, -np.inf, np.inf, -5e-324, 5e-324, -1.0, 2.0])
+    matrix = np.arange(-6.0, 6.0).reshape(3, 4).T
+    for a in (values, matrix, matrix[::2, ::-1]):
+        out = sign(a)
+        assert out.dtype == np.int8 and out.shape == a.shape
+        assert out.tobytes() == where_form(a).tobytes()
+    for v in (-0.0, 0.0, -np.inf, np.inf, -3.0, np.float64(-2.0), np.array(-1.0)):
+        got = sign(v)
+        assert type(got) is int and got == int(where_form(np.asarray(v)))
 
 
 def test_quantization_container_validation():
@@ -370,6 +388,30 @@ def test_ternary_property_fixed_point_and_grid_bound(xs):
     assert ternary_best_on_grid(x, grid) >= base - 1e-9 * max(1.0, base)
 
 
+half_integers = st.integers(-8, 8).map(lambda i: i / 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.one_of(tie_heavy_entries, half_integers), min_size=1, max_size=60),
+        ulp_clusters,
+    )
+)
+@example(generate(SyntheticSpec("normal", 3000, 7)).tolist())
+@example([1.0] * 5)
+@example(ulp_cluster(1.9646934829040668, [6, 8, 9]))
+def test_two_plane_fits_match_the_run_boundary_scan(xs):
+    # Masked gains over every cut pick the same cuts as a scan of the run
+    # boundaries alone, down to the bits of the levels and the planes.
+    x = np.asarray(xs, dtype=np.float64)
+    for fit, method in ((quantize_ls2, "ls2"), (quantize_ternary, "ternary")):
+        q = fit(x)
+        levels, planes = run_boundary_two_plane_fit(x, method)
+        assert q.levels.tobytes() == levels.tobytes()
+        assert np.array_equal(q.planes, planes)
+
+
 # --- equivariance ---------------------------------------------------------
 
 
@@ -517,6 +559,28 @@ def test_lloyd_property_ignores_input_order(xs, k, data):
     assert (got.iterations, got.converged, got.reseeds) == (
         lq.iterations, lq.converged, lq.reseeds
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.lists(two_plane_entries, min_size=1, max_size=200), ulp_clusters),
+    st.integers(0, 11),
+)
+def test_lloyd_start_equals_numpy_quantile(xs, k):
+    x = np.asarray(xs, dtype=np.float64)
+    q = (np.arange(2**k) + 0.5) / 2**k
+    assert np.array_equal(_sorted_quantiles(np.sort(x), q), np.quantile(x, q))
+
+
+def test_lloyd_start_at_k16_reads_the_sorted_data():
+    # np.quantile took about a minute at this size, partitioning the data
+    # around 65 536 interpolation indices; the fit needs well under a second.
+    x = generate(SyntheticSpec("laplace", 1 << 18, 3, (1.0,)))
+    started = time.perf_counter()
+    lq = quantize_lloyd(x, 16)
+    elapsed = time.perf_counter() - started
+    assert lq.codebook.size == 1 << 16
+    assert elapsed < 5.0, f"{elapsed:.2f} s"
 
 
 def test_lloyd_final_codes_are_nearest(vector_battery):
