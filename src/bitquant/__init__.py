@@ -45,7 +45,6 @@ from .quantizers import (
     QuantizationObjective,
     ScaledBinaryQuantization,
     foldable_planes,
-    is_foldable,
     lloyd_to_scaled_binary,
     objective,
     quantize_greedy,
@@ -111,7 +110,6 @@ __all__ = [
     "energy_profile",
     "foldable_planes",
     "generate",
-    "is_foldable",
     "load_packed",
     "load_tensor",
     "lloyd_to_scaled_binary",

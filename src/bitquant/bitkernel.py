@@ -86,9 +86,9 @@ class PackedQuantizedVector:
                 f"expected words of shape ({levels.size}, {_n_words(n)}) "
                 f"for {levels.size} planes of {n} bits"
             )
-        if not np.all(np.isfinite(levels)) or np.any(levels < 0):
+        if not np.isfinite(levels).all() or (levels < 0).any():
             raise ValueError("levels must be finite and nonnegative")
-        if np.any(words[:, -1] & ~_tail_mask(n)):
+        if (words[:, -1] & ~_tail_mask(n)).any():
             raise ValueError("padding bits beyond n must be zero")
         levels.setflags(write=False)
         words.setflags(write=False)
@@ -128,22 +128,26 @@ def _products(a_words, a_levels, b_words, b_levels, n: int):
     int64 cross terms ``cross[r, i, c, j]``, the product of plane i of row r
     with plane j of column c, exist for one block at a time; the last
     block's are returned with the (m, p) float64 values.  Each value sums
-    ``(la_i * lb_j) * cross_ij`` over (i, j) in row-major order, so it does
-    not depend on m, p or the row blocking.
+    the terms ``(la_i * lb_j) * cross_ij`` over (i, j) in row-major order,
+    starting from 0, so it does not depend on m, p or the row blocking.
     """
     m, ka, n_words = a_words.shape
     p, kw, _ = b_words.shape
     step = max(1, _BLOCK_BYTES // (ka * p * kw * n_words * 8))
     cols = b_words[None, None]
+    col_levels = b_levels[None, None]
     values = np.zeros((m, p))
     for start in range(0, m, step):
         rows = a_words[start : start + step, :, None, None, :]
-        cross = n - 2 * np.bitwise_count(rows ^ cols).sum(axis=-1, dtype=np.int64)
+        cross = np.bitwise_count(rows ^ cols).sum(axis=-1, dtype=np.int64)
+        cross *= -2
+        cross += n
+        terms = a_levels[start : start + step, :, None, None] * col_levels
+        terms *= cross
         block = values[start : start + step]
-        levels = a_levels[start : start + step]
         for i in range(ka):
             for j in range(kw):
-                block += (levels[:, i, None] * b_levels[None, :, j]) * cross[:, i, :, j]
+                block += terms[:, i, :, j]
     return cross, values
 
 
@@ -229,7 +233,7 @@ def load_packed(path) -> PackedQuantizedVector:
     if len(blob) > expected:
         raise MalformedHeaderError(f"{path}: {len(blob) - expected} trailing bytes")
     levels = np.frombuffer(blob, dtype="<f8", count=k, offset=16).copy()
-    if not np.all(np.isfinite(levels)) or np.any(levels < 0):
+    if not np.isfinite(levels).all() or (levels < 0).any():
         raise NonFiniteValueError(f"{path}: levels must be finite and nonnegative")
     words = np.frombuffer(blob, dtype="<u8", count=k * n_words, offset=16 + 8 * k)
     words = words.reshape(k, n_words)

@@ -36,6 +36,7 @@ Conventions used throughout (and relied on by exact tests):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,19 +72,19 @@ class ScaledBinaryQuantization:
         planes = np.asarray(self.planes)
         if levels.ndim != 1 or levels.size < 1:
             raise ValueError("levels must be a nonempty 1-D array")
-        if not np.all(np.isfinite(levels)) or np.any(levels < 0):
+        if not np.isfinite(levels).all() or (levels < 0).any():
             raise ValueError("levels must be finite and nonnegative")
         if planes.ndim != 2 or planes.shape[0] != levels.size or planes.shape[1] < 1:
             raise ValueError("planes must have shape (len(levels), n)")
         # Checked before the int8 cast, which would truncate 1.5 to 1.
-        if not np.all(np.abs(planes) == 1):
+        if not (np.abs(planes) == 1).all():
             raise ValueError("plane entries must be +1 or -1")
         planes = np.ascontiguousarray(planes, dtype=np.int8)
         if self.method not in _FAMILIES:
             raise ValueError(f"unknown method {self.method!r}")
         # Greedy keeps its levels in generation order, which residual
         # fitting does not sort; every other family's are nonincreasing.
-        if self.method != "greedy" and np.any(np.diff(levels) > 0):
+        if self.method != "greedy" and (levels[1:] > levels[:-1]).any():
             raise ValueError(f"{self.method} levels must be nonincreasing")
         if self.method == "ternary":
             if levels.size != 2 or levels[0] != levels[1]:
@@ -127,17 +128,17 @@ class LloydQuantizer:
         codes = np.ascontiguousarray(self.codes, dtype=np.int64)
         if codebook.ndim != 1 or codebook.size < 2:
             raise ValueError("codebook must hold at least two codewords")
-        if not np.all(np.isfinite(codebook)):
+        if not np.isfinite(codebook).all():
             raise ValueError("codebook must be finite")
         # Compared directly: np.diff overflows when the codebook spans more
         # than the float64 maximum.
-        if np.any(codebook[1:] < codebook[:-1]):
+        if (codebook[1:] < codebook[:-1]).any():
             raise ValueError("codebook must be sorted ascending")
         if thresholds.shape != (codebook.size - 1,):
             raise ValueError("need one threshold between each codeword pair")
         if codes.ndim != 1 or codes.size < 1:
             raise ValueError("codes must be a nonempty 1-D array")
-        if np.any(codes < 0) or np.any(codes >= codebook.size):
+        if (codes < 0).any() or (codes >= codebook.size).any():
             raise ValueError("codes must index the codebook")
         for arr in (codebook, thresholds, codes):
             arr.setflags(write=False)
@@ -176,8 +177,8 @@ def _to_unit(a, top=None):
     and from underflowing for tiny magnitudes.
     """
     if top is None:
-        top = np.max(np.abs(a))
-    e = -int(np.frexp(top)[1])
+        top = np.abs(a).max()
+    e = -math.frexp(top)[1]
     return np.ldexp(a, e, out=a), e
 
 
@@ -199,33 +200,36 @@ def objective(x, q) -> QuantizationObjective:
     if recon.size != x.size:
         raise ValueError(f"length mismatch: {x.size} vs {recon.size}")
     diff, e = _to_unit(x - recon)
-    return QuantizationObjective(mse=float(_from_unit(np.mean(diff * diff), e, 2)))
+    diff *= diff
+    return QuantizationObjective(mse=float(_from_unit(_mean(diff), e, 2)))
 
 
 def foldable_planes(x, levels) -> np.ndarray:
     """Planes obtained by folding: s_i = sign(x minus the partial sum of
     earlier planes).  Returns a (k, n) int8 array."""
-    x = as_float_vector(x)
-    levels = np.asarray(levels, dtype=np.float64)
+    return _fold(as_float_vector(x), np.asarray(levels, dtype=np.float64))
+
+
+def _fold(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """:func:`foldable_planes` of an ``x`` already validated."""
     planes = np.empty((levels.size, x.size), dtype=np.int8)
     residual = x
     for i, v in enumerate(levels):
         planes[i] = sign(residual)
-        residual = residual - v * planes[i]
+        if i + 1 < levels.size:
+            residual = residual - v * planes[i]
     return planes
 
 
-def is_foldable(x, q: ScaledBinaryQuantization) -> bool:
-    """True when every plane of ``q`` equals the folded sign of ``x``."""
-    x = as_float_vector(x)
-    if q.n != x.size:
-        raise ValueError(f"length mismatch: {x.size} vs {q.n}")
-    return bool(np.array_equal(foldable_planes(x, q.levels), q.planes))
+def _mean(a: np.ndarray) -> float:
+    """``np.mean`` of a float64 array, bit for bit: numpy's mean is the
+    pairwise sum divided by the count."""
+    return float(a.sum() / a.size)
 
 
 def _mean_abs(x: np.ndarray) -> float:
     """Mean magnitude; the shared primitive of the 1-bit and greedy fits."""
-    return float(np.mean(np.abs(x)))
+    return _mean(np.abs(x))
 
 
 def quantize_ls1(x) -> ScaledBinaryQuantization:
@@ -253,7 +257,8 @@ def quantize_greedy(x, k: int) -> ScaledBinaryQuantization:
     for i in range(k):
         levels[i] = _mean_abs(residual)
         planes[i] = sign(residual)
-        residual = residual - levels[i] * planes[i]
+        if i + 1 < k:
+            residual = residual - levels[i] * planes[i]
     return ScaledBinaryQuantization(levels=levels, planes=planes, method="greedy")
 
 
@@ -295,10 +300,12 @@ def quantize_greedy(x, k: int) -> ScaledBinaryQuantization:
 def _split_mse(mags: np.ndarray, v1: float, v2: float) -> float:
     """Mean squared error of the reconstruction {v1 - v2, v1 + v2} applied
     to sorted magnitudes with the realized assignment (ties upward)."""
-    cut = int(np.searchsorted(mags, v1, side="left"))
+    cut = int(mags.searchsorted(v1, side="left"))
     low = mags[:cut] - (v1 - v2)
+    low *= low
     high = mags[cut:] - (v1 + v2)
-    return (float(np.sum(low * low)) + float(np.sum(high * high))) / mags.size
+    high *= high
+    return (float(low.sum()) + float(high.sum())) / mags.size
 
 
 def _cut_sums(mags: np.ndarray):
@@ -337,22 +344,23 @@ def _ternary_gain(mags, suffix, upper):
     return gain
 
 
-def _fixed_points(mags: np.ndarray, gain, with_lower: bool):
+def _fixed_points(mags: np.ndarray, gain, in_runs, with_lower: bool):
     """Exactly self-consistent ``(v1, v2)`` levels among the run-boundary
     cut with the largest screening gain and its neighbouring boundary cuts.
-    Overwrites the gains of cuts inside runs with -inf."""
-    gain[1:][mags[:-1] == mags[1:]] = -np.inf
-    best = int(np.argmax(gain))
+    ``in_runs`` masks the cuts t = 1..n-1 inside a run of equal magnitudes,
+    a[t-1] == a[t]; their gains are overwritten with -inf."""
+    gain[1:][in_runs] = -np.inf
+    best = int(gain.argmax())
     cuts = [best]
     if best > 0:
-        cuts.insert(0, int(np.searchsorted(mags, mags[best - 1], side="left")))
-    after = int(np.searchsorted(mags, mags[best], side="right"))
+        cuts.insert(0, int(mags.searchsorted(mags[best - 1], side="left")))
+    after = int(mags.searchsorted(mags[best], side="right"))
     if after < mags.size:
         cuts.append(after)
     accepted = []
     for ti in cuts:
-        m_lo = float(np.mean(mags[:ti])) if ti > 0 else 0.0
-        m_hi = float(np.mean(mags[ti:]))
+        m_lo = _mean(mags[:ti]) if ti > 0 else 0.0
+        m_hi = _mean(mags[ti:])
         if with_lower:
             v1, v2 = 0.5 * (m_lo + m_hi), 0.5 * (m_hi - m_lo)
         else:
@@ -369,7 +377,10 @@ def _best_levels(mags: np.ndarray, candidates) -> tuple[float, float]:
     Errors are scored on the unit scale of :func:`_to_unit`.
     """
     scaled, e = _to_unit(mags.copy(), mags[-1])
-    return min(candidates, key=lambda c: (_split_mse(scaled, *np.ldexp(c, e)), c[0]))
+    return min(
+        candidates,
+        key=lambda c: (_split_mse(scaled, math.ldexp(c[0], e), math.ldexp(c[1], e)), c[0]),
+    )
 
 
 def _zero_quantization(n: int, k: int, method: str) -> ScaledBinaryQuantization:
@@ -394,15 +405,15 @@ def quantize_ternary(x) -> ScaledBinaryQuantization:
     reconstruct x with the same exact error |x|, so level 0 is optimal.
     """
     x = as_float_vector(x)
-    mags = np.sort(np.abs(x))
+    mags = np.abs(x)
+    mags.sort()
     if mags[-1] == 0.0:
         return _zero_quantization(x.size, 2, "ternary")
     _, suffix, upper = _cut_sums(mags)
     gain = _ternary_gain(mags, suffix, upper)
-    levels = np.array(_best_levels(mags, _fixed_points(mags, gain, False)))
-    return ScaledBinaryQuantization(
-        levels=levels, planes=foldable_planes(x, levels), method="ternary"
-    )
+    in_runs = mags[:-1] == mags[1:]
+    levels = np.array(_best_levels(mags, _fixed_points(mags, gain, in_runs, False)))
+    return ScaledBinaryQuantization(levels=levels, planes=_fold(x, levels), method="ternary")
 
 
 def quantize_ls2(x) -> ScaledBinaryQuantization:
@@ -416,19 +427,19 @@ def quantize_ls2(x) -> ScaledBinaryQuantization:
     the smaller v1.
     """
     x = as_float_vector(x)
-    mags = np.sort(np.abs(x))
+    mags = np.abs(x)
+    mags.sort()
     if mags[-1] == 0.0:
         return _zero_quantization(x.size, 2, "ls2")
     offsets, suffix, upper = _cut_sums(mags)
+    in_runs = mags[:-1] == mags[1:]
     candidates = (
-        _fixed_points(mags, _ls2_gain(offsets, suffix, upper), True)
-        + [(float(np.mean(mags)), 0.0)]
-        + _fixed_points(mags, _ternary_gain(mags, suffix, upper), False)
+        _fixed_points(mags, _ls2_gain(offsets, suffix, upper), in_runs, True)
+        + [(_mean(mags), 0.0)]
+        + _fixed_points(mags, _ternary_gain(mags, suffix, upper), in_runs, False)
     )
     levels = np.array(_best_levels(mags, candidates))
-    return ScaledBinaryQuantization(
-        levels=levels, planes=foldable_planes(x, levels), method="ls2"
-    )
+    return ScaledBinaryQuantization(levels=levels, planes=_fold(x, levels), method="ls2")
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ def as_float_vector(data) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {x.shape}")
     if x.size < 1:
         raise ValueError("vector must hold at least one element")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("vector entries must be finite")
     return x
 

@@ -3,7 +3,8 @@
 Everything here is deliberately written along a different route than the
 library code: eigenvalues come from a cyclic Jacobi sweep or a closed-form
 3x3 solution instead of power iteration or LAPACK, plane dots from
-pure-Python integer loops instead of popcounts, and the two-bit and
+pure-Python integer loops instead of popcounts, and their level-weighted
+sum from a Python loop instead of a blocked array kernel, and the two-bit and
 ternary bounds from a full cut enumeration or a level grid with direct
 residuals instead of the screened cut scan, the condition curve's fixed
 points from slice means at every cut instead of running sums, the best
@@ -39,6 +40,17 @@ def brute_pm1_dot(a, b) -> int:
     """Integer inner product of two +-1 sequences."""
     assert len(a) == len(b)
     return sum(int(x) * int(y) for x, y in zip(a, b))
+
+
+def row_major_level_sum(a_levels, b_levels, cross) -> float:
+    """Sum of ``(a_levels[i] * b_levels[j]) * cross[i][j]`` over (i, j) in
+    row-major order, from 0.0, in Python floats with the plane products as
+    Python ints."""
+    total = 0.0
+    for i, la in enumerate(a_levels):
+        for j, lb in enumerate(b_levels):
+            total += (float(la) * float(lb)) * int(cross[i][j])
+    return total
 
 
 def jacobi_eigh(matrix, sweeps: int = 60, tol: float = 1e-14):

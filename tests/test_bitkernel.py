@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitquant import (
@@ -22,7 +22,7 @@ from bitquant import (
     unpack_quantization,
 )
 
-from oracles import brute_pm1_dot
+from oracles import brute_pm1_dot, row_major_level_sum
 
 sign_lists = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=300)
 
@@ -135,6 +135,29 @@ def test_packed_vector_validation():
         PackedQuantizedVector(levels=np.array([1.0]), words=p2, n=0)
 
 
+@pytest.mark.parametrize(
+    "levels,words,n,message",
+    [
+        ([np.nan], [[1]], 2, "levels must be finite and nonnegative"),
+        ([np.inf], [[1]], 2, "levels must be finite and nonnegative"),
+        ([-0.5], [[1]], 2, "levels must be finite and nonnegative"),
+        ([1.0, np.nan], [[1], [1]], 2, "levels must be finite and nonnegative"),
+        ([1.0], [[1, 0]], 2, "expected words of shape \\(1, 1\\) for 1 planes of 2 bits"),
+        ([1.0], [1], 2, "expected words of shape"),
+        ([1.0, 1.0], [[1]], 2, "expected words of shape \\(2, 1\\)"),
+        ([[1.0]], [[1]], 2, "need one level per plane"),
+        ([], np.zeros((0, 1)), 2, "need one level per plane"),
+        ([1.0], [[1]], 0, "a packed vector needs at least one element"),
+        ([1.0], [[0b100]], 2, "padding bits beyond n must be zero"),
+    ],
+)
+def test_packed_vector_rejections(levels, words, n, message):
+    with pytest.raises(ValueError, match=message):
+        PackedQuantizedVector(
+            levels=np.array(levels), words=np.array(words, dtype=np.uint64), n=n
+        )
+
+
 # --- quantized dot products -----------------------------------------------
 
 
@@ -178,6 +201,45 @@ def test_matmul_is_bitwise_the_scalar_path(m, p, n, ka, kw):
     for i in range(m):
         for j in range(p):
             assert out[i, j] == quantized_dot(rows[i], cols[j]).value
+
+
+def spread_quantization(n, k, seed):
+    """Random planes under levels spread over several binades, so that a
+    different summation order rounds differently."""
+    rng = SplitMix64(seed)
+    levels = np.ldexp(rng.uniform_open01(k), rng.words(k).astype(np.int64) % 40 - 20)
+    planes = np.stack([rng.signs(n) for _ in range(k)])
+    return ScaledBinaryQuantization(levels, planes, "greedy")
+
+
+# The examples put ka * kw >= 8 terms in each entry and, at 3 x 3 planes of
+# 64 columns over 2500 elements, five rows per block of the kernel.
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    p=st.integers(1, 24),
+    n=st.integers(1, 700),
+    ka=st.integers(1, 4),
+    kw=st.integers(1, 4),
+    seed=st.integers(0, 2**32),
+)
+@example(m=12, p=64, n=2500, ka=3, kw=3, seed=1)
+@example(m=9, p=48, n=3000, ka=4, kw=2, seed=2)
+@example(m=3, p=2, n=65, ka=4, kw=4, seed=3)
+def test_kernel_sums_in_row_major_order(m, p, n, ka, kw, seed):
+    rows = [spread_quantization(n, ka, seed + i) for i in range(m)]
+    cols = [spread_quantization(n, kw, seed + m + j) for j in range(p)]
+    packed_rows = [pack_quantization(q) for q in rows]
+    packed_cols = [pack_quantization(q) for q in cols]
+    out = quantized_matmul(packed_rows, packed_cols)
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            cross = r.planes.astype(np.int64) @ c.planes.T.astype(np.int64)
+            expected = row_major_level_sum(r.levels.tolist(), c.levels.tolist(), cross.tolist())
+            dot = quantized_dot(packed_rows[i], packed_cols[j])
+            assert np.array_equal(dot.cross_terms, cross)
+            assert dot.value == expected
+            assert out[i, j] == expected
 
 
 def test_matmul_against_float_reference():

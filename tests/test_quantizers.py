@@ -14,7 +14,6 @@ from bitquant import (
     SyntheticSpec,
     foldable_planes,
     generate,
-    is_foldable,
     lloyd_to_scaled_binary,
     objective,
     quantize_greedy,
@@ -68,19 +67,48 @@ def test_sign_matches_the_where_form_bitwise():
 
 def test_quantization_container_validation():
     good_planes = np.ones((1, 3), dtype=np.int8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="levels must be finite and nonnegative"):
         ScaledBinaryQuantization(np.array([-0.5]), good_planes, "ls1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="plane entries must be"):
         ScaledBinaryQuantization(np.array([1.0]), np.zeros((1, 3)), "ls1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown method 'banana'"):
         ScaledBinaryQuantization(np.array([1.0]), good_planes, "banana")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ls2 levels must be nonincreasing"):
         ScaledBinaryQuantization(np.array([1.0, 2.0]), np.ones((2, 3)), "ls2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ls2 levels must be nonincreasing"):
+        ScaledBinaryQuantization(np.array([1.0, 1.0 + 2**-52]), np.ones((2, 3)), "ls2")
+    with pytest.raises(ValueError, match="ternary requires two equal levels"):
         ScaledBinaryQuantization(np.array([2.0, 1.0]), np.ones((2, 3)), "ternary")
+    with pytest.raises(ValueError, match="ternary requires two equal levels"):
+        ScaledBinaryQuantization(np.array([1.0]), good_planes, "ternary")
     # Greedy levels are reported in generation order and may increase.
     q = ScaledBinaryQuantization(np.array([1.0, 2.0]), np.ones((2, 3)), "greedy")
     assert q.k == 2 and q.n == 3
+    # Equal levels and levels spanning the whole float64 range are
+    # nonincreasing.
+    ScaledBinaryQuantization(np.array([5e-324, 5e-324]), np.ones((2, 3)), "ls2")
+    ScaledBinaryQuantization(np.array([1.7976931348623157e308, 0.0]), np.ones((2, 3)), "ls2")
+
+
+@pytest.mark.parametrize(
+    "levels,planes,message",
+    [
+        ([np.nan], [[1, -1]], "levels must be finite and nonnegative"),
+        ([np.inf], [[1, -1]], "levels must be finite and nonnegative"),
+        ([-np.inf], [[1, -1]], "levels must be finite and nonnegative"),
+        ([1.0, np.nan], [[1], [1]], "levels must be finite and nonnegative"),
+        ([], np.ones((0, 2)), "levels must be a nonempty 1-D array"),
+        ([[1.0]], [[1, -1]], "levels must be a nonempty 1-D array"),
+        ([1.0], [[1.5, -1.0]], "plane entries must be \\+1 or -1"),
+        ([1.0], [[0, 1]], "plane entries must be \\+1 or -1"),
+        ([1.0, 0.5], [[1, -1]], "planes must have shape"),
+        ([1.0], [1, -1], "planes must have shape"),
+        ([1.0], np.ones((1, 0)), "planes must have shape"),
+    ],
+)
+def test_quantization_container_rejections(levels, planes, message):
+    with pytest.raises(ValueError, match=message):
+        ScaledBinaryQuantization(np.array(levels), np.array(planes), "greedy")
 
 
 def test_quantization_is_read_only():
@@ -152,6 +180,22 @@ def test_greedy_planes_are_their_own_folding(vector_battery):
         assert np.array_equal(q.planes, foldable_planes(x, q.levels))
 
 
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ([np.nan, 1.0], "vector entries must be finite"),
+        ([1.0, -np.inf], "vector entries must be finite"),
+        ([[1.0, 2.0]], "expected a 1-D vector"),
+        ([], "vector must hold at least one element"),
+    ],
+)
+def test_foldable_planes_validates_x(bad, message):
+    # The fits fold an x they have already validated; the public function
+    # still checks its own.
+    with pytest.raises(ValueError, match=message):
+        foldable_planes(bad, [1.0, 0.5])
+
+
 def test_greedy_error_strictly_decreases():
     x = generate(SyntheticSpec("laplace", 400, 23, (1.0,)))
     errors = [mse(x, quantize_greedy(x, k)) for k in range(1, 7)]
@@ -200,7 +244,7 @@ def test_ternary_fixed_point_edge_cases(x):
     assert ternary_fixed_point_holds(x)
     q = quantize_ternary(x)
     assert q.levels[0] == q.levels[1]
-    assert is_foldable(x, q)
+    assert np.array_equal(foldable_planes(x, q.levels), q.planes)
 
 
 def test_ternary_smallest_subnormal_keeps_level_zero():
@@ -275,7 +319,7 @@ def test_ls2_edge_cases_meet_the_bound(x):
     bound = exhaustive_two_bit_mse(x)
     assert got <= bound + 1e-9 * max(1.0, bound)
     assert q.levels[0] >= q.levels[1] >= 0.0
-    assert is_foldable(x, q)
+    assert np.array_equal(foldable_planes(x, q.levels), q.planes)
 
 
 def test_ls2_exact_two_value_data():
@@ -290,13 +334,13 @@ def test_ls2_single_element_is_exact():
     x = [0.7]
     q = quantize_ls2(x)
     assert mse(x, q) == 0.0
-    assert is_foldable(x, q)
+    assert np.array_equal(foldable_planes(x, q.levels), q.planes)
 
 
 def test_ls2_zero_vector():
     q = quantize_ls2([0.0, 0.0, 0.0])
     assert q.levels.tolist() == [0.0, 0.0]
-    assert is_foldable([0.0, 0.0, 0.0], q)
+    assert np.array_equal(foldable_planes([0.0, 0.0, 0.0], q.levels), q.planes)
 
 
 def test_ls2_folding_assigns_nearest_value(vector_battery):
@@ -368,7 +412,7 @@ def test_ls2_property_beats_one_bit_and_folds(xs):
     x = np.asarray(xs, dtype=np.float64)
     q = quantize_ls2(x)
     assert q.levels[0] >= q.levels[1] >= 0.0
-    assert is_foldable(x, q)
+    assert np.array_equal(foldable_planes(x, q.levels), q.planes)
     e2 = mse(x, q)
     e1 = mse(x, quantize_ls1(x))
     assert e2 <= e1 + 1e-12 * max(1.0, e1)
@@ -382,7 +426,7 @@ def test_ternary_property_fixed_point_and_grid_bound(xs):
     x = np.asarray(xs, dtype=np.float64)
     assert ternary_fixed_point_holds(x)
     q = quantize_ternary(x)
-    assert is_foldable(x, q)
+    assert np.array_equal(foldable_planes(x, q.levels), q.planes)
     base = mse(x, q)
     grid = np.linspace(0.0, float(np.max(np.abs(x))), 4001)
     assert ternary_best_on_grid(x, grid) >= base - 1e-9 * max(1.0, base)

@@ -36,6 +36,16 @@ def test_as_float_vector_rejects(bad):
         as_float_vector(bad)
 
 
+def test_as_float_vector_rejection_messages():
+    for bad in ([np.nan], [1.0, np.inf], [-np.inf]):
+        with pytest.raises(ValueError, match="vector entries must be finite"):
+            as_float_vector(bad)
+    with pytest.raises(ValueError, match=r"expected a 1-D vector, got shape \(1, 2\)"):
+        as_float_vector([[1.0, 2.0]])
+    with pytest.raises(ValueError, match="vector must hold at least one element"):
+        as_float_vector([])
+
+
 @pytest.mark.parametrize("bad", [[1.0, 2.0], [[np.nan]], np.empty((0, 3))])
 def test_as_float_matrix_rejects(bad):
     with pytest.raises(ValueError):
