@@ -66,15 +66,12 @@ from .rank1 import (
 )
 from .rng import SplitMix64
 from .tensor import (
-    EmpiricalStats,
     SyntheticSpec,
     as_float_matrix,
     as_float_vector,
     generate,
     load_tensor,
-    merge_stats,
     save_tensor,
-    stats,
 )
 
 __version__ = "0.1.0"
@@ -84,7 +81,6 @@ __all__ = [
     "ConditionCurve",
     "ConvergenceError",
     "DimensionOverflowError",
-    "EmpiricalStats",
     "EnergyProfile",
     "Intersection",
     "LloydQuantizer",
@@ -113,7 +109,6 @@ __all__ = [
     "load_packed",
     "load_tensor",
     "lloyd_to_scaled_binary",
-    "merge_stats",
     "normal_condition_curve",
     "normal_split_mse",
     "objective",
@@ -134,6 +129,5 @@ __all__ = [
     "save_packed",
     "save_tensor",
     "sign",
-    "stats",
     "unpack_quantization",
 ]

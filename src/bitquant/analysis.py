@@ -328,19 +328,12 @@ def _normal_moments(v: float):
     return m0_lo, m1_lo, m0_lo - 2.0 * v * phi, m0_hi, m1_hi, m0_hi + 2.0 * v * phi
 
 
-def _normal_lower_mean(v: float) -> float:
-    if v <= 0.0:
-        return 0.0
-    m0, m1, *_ = _normal_moments(v)
-    return m1 / m0 if m0 > 0.0 else 0.0
-
-
-def _normal_upper_mean(v: float) -> float:
-    if v <= 0.0:
-        return _SQRT_2_OVER_PI
-    *_, m0, m1, _ = _normal_moments(v)
-    # Far tail: the conditional mean approaches v itself.
-    return m1 / m0 if m0 > 0.0 else v
+def _normal_means(v: float) -> tuple[float, float]:
+    """Means of |X|, X standard normal, at or below v and above v; the
+    lower one is 0 where that group has no mass, at v = 0."""
+    m0_lo, m1_lo, _, m0_hi, m1_hi, _ = _normal_moments(v)
+    # Far tail: the upper conditional mean approaches v itself.
+    return m1_lo / m0_lo if m0_lo > 0.0 else 0.0, m1_hi / m0_hi if m0_hi > 0.0 else v
 
 
 def normal_split_mse(v1: float, v2: float) -> float:
@@ -361,10 +354,10 @@ def normal_condition_curve(grid: int) -> ConditionCurve:
     if grid < 2:
         raise ValueError("grid must be at least 2")
     vs = np.linspace(0.0, 4.0, grid + 1)[1:]
-    means = np.array([(_normal_lower_mean(v), _normal_upper_mean(v)) for v in vs])
+    means = np.array([_normal_means(v) for v in vs])
 
     def levels(v: float) -> tuple[float, float]:
-        lo, hi = _normal_lower_mean(v), _normal_upper_mean(v)
+        lo, hi = _normal_means(v)
         return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
     roots = _refine_and_collect(vs, lambda v: levels(v)[0] - v)

@@ -232,7 +232,7 @@ def load_packed(path) -> PackedQuantizedVector:
         )
     if len(blob) > expected:
         raise MalformedHeaderError(f"{path}: {len(blob) - expected} trailing bytes")
-    levels = np.frombuffer(blob, dtype="<f8", count=k, offset=16).copy()
+    levels = np.frombuffer(blob, dtype="<f8", count=k, offset=16)
     if not np.isfinite(levels).all() or (levels < 0).any():
         raise NonFiniteValueError(f"{path}: levels must be finite and nonnegative")
     words = np.frombuffer(blob, dtype="<u8", count=k * n_words, offset=16 + 8 * k)

@@ -201,7 +201,7 @@ def objective(x, q) -> QuantizationObjective:
         raise ValueError(f"length mismatch: {x.size} vs {recon.size}")
     diff, e = _to_unit(x - recon)
     diff *= diff
-    return QuantizationObjective(mse=float(_from_unit(_mean(diff), e, 2)))
+    return QuantizationObjective(mse=float(_from_unit(_mean(diff, 1.0), e, 2)))
 
 
 def foldable_planes(x, levels) -> np.ndarray:
@@ -221,22 +221,29 @@ def _fold(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return planes
 
 
-def _mean(a: np.ndarray) -> float:
-    """``np.mean`` of a float64 array, bit for bit: numpy's mean is the
-    pairwise sum divided by the count."""
-    return float(a.sum() / a.size)
+def _mean(a: np.ndarray, top: float) -> float:
+    """``np.mean`` of float64 entries of magnitude at most ``top``, bit for
+    bit: numpy's mean is the pairwise sum ``np.add.reduce`` over the count.
 
-
-def _mean_abs(x: np.ndarray) -> float:
-    """Mean magnitude; the shared primitive of the 1-bit and greedy fits."""
-    return _mean(np.abs(x))
+    Where the sum could pass 2^1023 the entries are summed scaled by 2^-s,
+    2^s >= 2n, and the mean is scaled back.  Power-of-two scaling commutes
+    with rounding above the subnormal range, so wherever the plain sum is
+    finite this is the same mean; entries pushed below that range vanish
+    beside a sum this large.
+    """
+    n = a.size
+    if top < 2.0**1023 / n:
+        return float(np.add.reduce(a) / n)
+    s = n.bit_length() + 1
+    return math.ldexp(float(np.add.reduce(np.ldexp(a, -s)) / n), s)
 
 
 def quantize_ls1(x) -> ScaledBinaryQuantization:
     """Least squares 1-bit quantization: v = mean |x|, s = sign(x)."""
     x = as_float_vector(x)
+    mags = np.abs(x)
     return ScaledBinaryQuantization(
-        levels=np.array([_mean_abs(x)]),
+        levels=np.array([_mean(mags, mags.max())]),
         planes=sign(x)[None, :],
         method="ls1",
     )
@@ -253,12 +260,17 @@ def quantize_greedy(x, k: int) -> ScaledBinaryQuantization:
         raise ValueError("k must be at least 1")
     levels = np.empty(k, dtype=np.float64)
     planes = np.empty((k, x.size), dtype=np.int8)
+    mags = np.abs(x)
+    # No residual magnitude exceeds max |x| by more than rounding, which the
+    # factor-2 margin of _mean absorbs.
+    top = mags.max()
     residual = x
     for i in range(k):
-        levels[i] = _mean_abs(residual)
+        levels[i] = _mean(mags, top)
         planes[i] = sign(residual)
         if i + 1 < k:
             residual = residual - levels[i] * planes[i]
+            np.abs(residual, out=mags)
     return ScaledBinaryQuantization(levels=levels, planes=planes, method="greedy")
 
 
@@ -359,8 +371,8 @@ def _fixed_points(mags: np.ndarray, gain, in_runs, with_lower: bool):
         cuts.append(after)
     accepted = []
     for ti in cuts:
-        m_lo = _mean(mags[:ti]) if ti > 0 else 0.0
-        m_hi = _mean(mags[ti:])
+        m_lo = _mean(mags[:ti], mags[-1]) if ti > 0 else 0.0
+        m_hi = _mean(mags[ti:], mags[-1])
         if with_lower:
             v1, v2 = 0.5 * (m_lo + m_hi), 0.5 * (m_hi - m_lo)
         else:
@@ -383,12 +395,25 @@ def _best_levels(mags: np.ndarray, candidates) -> tuple[float, float]:
     )
 
 
-def _zero_quantization(n: int, k: int, method: str) -> ScaledBinaryQuantization:
-    return ScaledBinaryQuantization(
-        levels=np.zeros(k),
-        planes=np.ones((k, n), dtype=np.int8),
-        method=method,
-    )
+def _two_plane_fit(x, method: str) -> ScaledBinaryQuantization:
+    """The ls2 or ternary fit.  Ternary takes the best exact fixed point of
+    its cut scan; ls2 picks among its own fixed points, the 1-bit fit and
+    the ternary fixed points, listed in that order because ties keep the
+    first.  The zero vector keeps zero levels and, as sign(0) = +1, all +1
+    planes."""
+    x = as_float_vector(x)
+    mags = np.abs(x)
+    mags.sort()
+    levels = np.zeros(2)
+    if mags[-1] > 0.0:
+        offsets, suffix, upper = _cut_sums(mags)
+        in_runs = mags[:-1] == mags[1:]
+        candidates = _fixed_points(mags, _ternary_gain(mags, suffix, upper), in_runs, False)
+        if method == "ls2":
+            ls2 = _fixed_points(mags, _ls2_gain(offsets, suffix, upper), in_runs, True)
+            candidates = ls2 + [(_mean(mags, mags[-1]), 0.0)] + candidates
+        levels[:] = _best_levels(mags, candidates)
+    return ScaledBinaryQuantization(levels=levels, planes=_fold(x, levels), method=method)
 
 
 def quantize_ternary(x) -> ScaledBinaryQuantization:
@@ -404,16 +429,7 @@ def quantize_ternary(x) -> ScaledBinaryQuantization:
     v = 2**-1075 lies halfway between the floats 0 and 5e-324, which
     reconstruct x with the same exact error |x|, so level 0 is optimal.
     """
-    x = as_float_vector(x)
-    mags = np.abs(x)
-    mags.sort()
-    if mags[-1] == 0.0:
-        return _zero_quantization(x.size, 2, "ternary")
-    _, suffix, upper = _cut_sums(mags)
-    gain = _ternary_gain(mags, suffix, upper)
-    in_runs = mags[:-1] == mags[1:]
-    levels = np.array(_best_levels(mags, _fixed_points(mags, gain, in_runs, False)))
-    return ScaledBinaryQuantization(levels=levels, planes=_fold(x, levels), method="ternary")
+    return _two_plane_fit(x, "ternary")
 
 
 def quantize_ls2(x) -> ScaledBinaryQuantization:
@@ -426,20 +442,7 @@ def quantize_ls2(x) -> ScaledBinaryQuantization:
     never have a smaller error, but they can tie with it, and ties go to
     the smaller v1.
     """
-    x = as_float_vector(x)
-    mags = np.abs(x)
-    mags.sort()
-    if mags[-1] == 0.0:
-        return _zero_quantization(x.size, 2, "ls2")
-    offsets, suffix, upper = _cut_sums(mags)
-    in_runs = mags[:-1] == mags[1:]
-    candidates = (
-        _fixed_points(mags, _ls2_gain(offsets, suffix, upper), in_runs, True)
-        + [(_mean(mags), 0.0)]
-        + _fixed_points(mags, _ternary_gain(mags, suffix, upper), in_runs, False)
-    )
-    levels = np.array(_best_levels(mags, candidates))
-    return ScaledBinaryQuantization(levels=levels, planes=_fold(x, levels), method="ls2")
+    return _two_plane_fit(x, "ls2")
 
 
 # ---------------------------------------------------------------------------

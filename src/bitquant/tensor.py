@@ -38,8 +38,6 @@ _FQT_MAGIC = b"FQT1"
 # as a corrupt header rather than a plausible tensor.
 _MAX_ELEMENTS = 1 << 40
 
-_REL_SLACK = 1e-9
-
 
 def as_float_vector(data) -> np.ndarray:
     """Validate and convert to a 1-D float64 array of finite values."""
@@ -63,47 +61,6 @@ def as_float_matrix(data) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("matrix entries must be finite")
     return x
-
-
-@dataclass(frozen=True)
-class EmpiricalStats:
-    """Summary moments of a vector: count, mean, mean |x|, and sum x^2."""
-
-    count: int
-    mean: float
-    mean_abs: float
-    energy: float
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be positive")
-        slack = _REL_SLACK * max(1.0, abs(self.energy), self.mean_abs)
-        if self.mean_abs + slack < abs(self.mean):
-            raise ValueError("mean_abs must dominate |mean|")
-        if self.energy + slack * max(1.0, self.energy) < self.count * self.mean**2:
-            raise ValueError("energy must dominate count * mean^2")
-
-
-def stats(x) -> EmpiricalStats:
-    """Summary moments of a vector, accumulated in float64."""
-    x = as_float_vector(x)
-    return EmpiricalStats(
-        count=int(x.size),
-        mean=float(np.mean(x)),
-        mean_abs=float(np.mean(np.abs(x))),
-        energy=float(np.sum(x * x)),
-    )
-
-
-def merge_stats(a: EmpiricalStats, b: EmpiricalStats) -> EmpiricalStats:
-    """Stats of the concatenation of two vectors from their summaries."""
-    n = a.count + b.count
-    return EmpiricalStats(
-        count=n,
-        mean=(a.count * a.mean + b.count * b.mean) / n,
-        mean_abs=(a.count * a.mean_abs + b.count * b.mean_abs) / n,
-        energy=a.energy + b.energy,
-    )
 
 
 _DISTRIBUTIONS = {

@@ -136,6 +136,24 @@ def test_objective_is_finite_where_the_true_mse_is():
     assert got == pytest.approx(float(exact), rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "fit",
+    [quantize_ls1, quantize_ls2, quantize_ternary, lambda x: quantize_greedy(x, 2)],
+    ids=["ls1", "ls2", "ternary", "greedy-2"],
+)
+def test_fits_whose_magnitudes_sum_past_the_float64_maximum(fit):
+    # Sum |x| overflows on both inputs although mean |x| does not.  Every
+    # family reconstructs the second exactly; at this scale an error of one
+    # ulp would already square past the float64 maximum.
+    top = 2.0**1023
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(fit([1.7e308, -1.7e308, 3.0]).levels).all()
+        q = fit([top, -top, top])
+        assert np.isfinite(q.levels).all()
+        assert objective([top, -top, top], q).mse == 0.0
+
+
 # --- one bit --------------------------------------------------------------
 
 
@@ -157,10 +175,15 @@ def test_ls1_beats_nearby_levels():
 
 
 def test_ls1_all_zero_vector():
-    q = quantize_ls1([0.0, 0.0, 0.0])
-    assert q.levels[0] == 0.0
-    assert q.planes.tolist() == [[1, 1, 1]]
-    assert mse([0.0, 0.0, 0.0], q) == 0.0
+    for x in ([0.0, 0.0, 0.0], [-0.0, 0.0, 0.0]):
+        q = quantize_ls1(x)
+        assert q.levels[0] == 0.0
+        assert q.planes.tolist() == [[1, 1, 1]]
+        assert mse(x, q) == 0.0
+        # sign(-0.0) = +1, so greedy-2 keeps all +1 planes as well.
+        q = quantize_greedy(x, 2)
+        assert q.levels.tolist() == [0.0, 0.0]
+        assert q.planes.tolist() == [[1, 1, 1], [1, 1, 1]]
 
 
 # --- greedy ---------------------------------------------------------------
@@ -267,6 +290,9 @@ def test_ternary_zero_vector():
     q = quantize_ternary([0.0, 0.0])
     assert q.levels.tolist() == [0.0, 0.0]
     assert mse([0.0, 0.0], q) == 0.0
+    q = quantize_ternary([-0.0, 0.0, 0.0])
+    assert q.levels.tolist() == [0.0, 0.0]
+    assert q.planes.tolist() == [[1, 1, 1], [1, 1, 1]]
 
 
 def test_ternary_grid_finds_nothing_better(vector_battery):
@@ -338,9 +364,11 @@ def test_ls2_single_element_is_exact():
 
 
 def test_ls2_zero_vector():
-    q = quantize_ls2([0.0, 0.0, 0.0])
-    assert q.levels.tolist() == [0.0, 0.0]
-    assert np.array_equal(foldable_planes([0.0, 0.0, 0.0], q.levels), q.planes)
+    for x in ([0.0, 0.0, 0.0], [-0.0, 0.0, 0.0]):
+        q = quantize_ls2(x)
+        assert q.levels.tolist() == [0.0, 0.0]
+        assert np.array_equal(foldable_planes(x, q.levels), q.planes)
+        assert q.planes.tolist() == [[1, 1, 1], [1, 1, 1]]
 
 
 def test_ls2_folding_assigns_nearest_value(vector_battery):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from bitquant import (
     DimensionOverflowError,
-    EmpiricalStats,
     MalformedHeaderError,
     NonFiniteValueError,
     SyntheticSpec,
@@ -15,9 +14,7 @@ from bitquant import (
     as_float_vector,
     generate,
     load_tensor,
-    merge_stats,
     save_tensor,
-    stats,
 )
 
 
@@ -50,42 +47,6 @@ def test_as_float_vector_rejection_messages():
 def test_as_float_matrix_rejects(bad):
     with pytest.raises(ValueError):
         as_float_matrix(bad)
-
-
-# --- stats ----------------------------------------------------------------
-
-
-def test_stats_values():
-    s = stats([3.0, -1.0, 2.0])
-    assert s.count == 3
-    assert s.mean == pytest.approx(4.0 / 3.0)
-    assert s.mean_abs == pytest.approx(2.0)
-    assert s.energy == pytest.approx(14.0)
-
-
-def test_stats_invariant_enforced():
-    with pytest.raises(ValueError):
-        EmpiricalStats(count=2, mean=3.0, mean_abs=1.0, energy=100.0)
-    with pytest.raises(ValueError):
-        EmpiricalStats(count=4, mean=2.0, mean_abs=2.0, energy=1.0)
-    with pytest.raises(ValueError):
-        EmpiricalStats(count=0, mean=0.0, mean_abs=0.0, energy=0.0)
-
-
-finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-
-
-@given(
-    st.lists(finite_floats, min_size=1, max_size=40),
-    st.lists(finite_floats, min_size=1, max_size=40),
-)
-def test_merge_stats_matches_concatenation(a, b):
-    merged = merge_stats(stats(a), stats(b))
-    whole = stats(a + b)
-    assert merged.count == whole.count
-    assert merged.mean == pytest.approx(whole.mean, rel=1e-9, abs=1e-9)
-    assert merged.mean_abs == pytest.approx(whole.mean_abs, rel=1e-9, abs=1e-9)
-    assert merged.energy == pytest.approx(whole.energy, rel=1e-9, abs=1e-9)
 
 
 # --- synthetic specs ------------------------------------------------------

@@ -25,25 +25,16 @@ import math
 
 import numpy as np
 
-from bitquant.analysis import (
-    _normal_lower_mean,
-    _normal_upper_mean,
-    _refine_and_collect,
-    normal_split_mse,
-)
+from bitquant.analysis import _normal_means, _refine_and_collect, normal_split_mse
 
 # --- laplace, scale 1 (|X| is Exponential(1)) ------------------------------
 
 
-def laplace_lower_mean(v):
+def laplace_means(v):
+    """Means of |X| at or below v and above v; the upper tail is memoryless."""
     mass = -math.expm1(-v)
-    if mass == 0.0:
-        return 0.0
-    return (mass - v * math.exp(-v)) / mass
-
-
-def laplace_upper_mean(v):
-    return v + 1.0
+    lower = (mass - v * math.exp(-v)) / mass if mass > 0.0 else 0.0
+    return lower, v + 1.0
 
 
 def laplace_mse(v1, v2):
@@ -64,15 +55,17 @@ def laplace_mse(v1, v2):
 GRID = np.arange(1, 16001) * 8.0 / 16000
 
 
-def report(name, lower, upper, mse):
+def report(name, means, mse):
     print(f"== {name} ==")
 
     def g2(v):
-        return 0.5 * (lower(v) + upper(v)) - v
+        lower, upper = means(v)
+        return 0.5 * (lower + upper) - v
 
     best = None
     for v1 in _refine_and_collect(GRID, g2):
-        v2 = 0.5 * (upper(v1) - lower(v1))
+        lower, upper = means(v1)
+        v2 = 0.5 * (upper - lower)
         e = mse(v1, v2)
         print(f"  two-bit root: v1={v1:.12f} v2={v2:.12f} mse={e:.12f}")
         if best is None or e < best[0]:
@@ -81,12 +74,12 @@ def report(name, lower, upper, mse):
     print(f"  two-bit GLOBAL: v1={v1:.12f} v2={v2:.12f} mse={e:.12f}")
 
     def gt(v):
-        return 0.5 * upper(v) - v
+        return 0.5 * means(v)[1] - v
 
     for v in _refine_and_collect(GRID, gt):
         print(f"  ternary root: v={v:.12f} mse={mse(v, v):.12f}")
 
 
 if __name__ == "__main__":
-    report("standard normal", _normal_lower_mean, _normal_upper_mean, normal_split_mse)
-    report("laplace(1)", laplace_lower_mean, laplace_upper_mean, laplace_mse)
+    report("standard normal", _normal_means, normal_split_mse)
+    report("laplace(1)", laplace_means, laplace_mse)
