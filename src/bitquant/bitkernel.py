@@ -38,10 +38,10 @@ from .errors import (
     NonFiniteValueError,
 )
 from .quantizers import ScaledBinaryQuantization
+from .tensor import _MAX_ELEMENTS
 
 WORD_BITS = 64
 _BQT_MAGIC = b"BQT1"
-_MAX_ELEMENTS = 1 << 40
 _MAX_PLANES = 64
 # Size of the XOR temporary of one row block in the product kernel; a
 # block holds at least one row.

@@ -2,9 +2,8 @@
 
 Subcommands cover the full pipeline: ``gen`` writes synthetic tensors,
 ``quantize`` fits and serializes a quantization, ``analyze`` sweeps methods
-against data specs, ``curve`` samples conditional-mean curves, ``energy``
-profiles matrices for rank-1 binary quantization, and ``gemm-check``
-verifies the packed matmul against a float reference.
+against data specs, ``curve`` samples conditional-mean curves, and ``energy``
+profiles matrices for rank-1 binary quantization.
 
 Summaries go to stdout as single-line JSON; data artifacts go to files.
 Exit codes: 0 success, 1 usage or parameter errors, 2 malformed or
@@ -29,23 +28,16 @@ from .analysis import (
     parse_method,
     run_sweep,
 )
-from .bitkernel import (
-    pack_quantization,
-    quantized_matmul,
-    save_packed,
-    unpack_quantization,
-)
+from .bitkernel import pack_quantization, save_packed
 from .errors import ConvergenceError, TensorFileError
 from .quantizers import (
     _FAMILIES,
     LloydQuantizer,
     lloyd_to_scaled_binary,
     objective,
-    quantize_greedy,
     reconstruct,
 )
 from .rank1 import channel_mean_rank1, energy_profile, rank1_binary, residual_fro2
-from .rng import SplitMix64
 from .tensor import SyntheticSpec, generate, load_tensor, save_tensor
 
 
@@ -239,37 +231,6 @@ def cmd_energy(args) -> int:
     return 0
 
 
-def cmd_gemm_check(args) -> int:
-    m, n, p = args.m, args.n, args.p
-    if min(m, n, p) < 1:
-        raise ValueError("matrix dimensions must be positive")
-    if args.ka < 1 or args.kw < 1:
-        raise ValueError("plane counts must be positive")
-    a = SplitMix64(args.seed).normal(m * n).reshape(m, n)
-    b = SplitMix64(args.seed + 1).normal(n * p).reshape(n, p)
-    rows = [pack_quantization(quantize_greedy(a[i], args.ka)) for i in range(m)]
-    cols = [pack_quantization(quantize_greedy(b[:, j], args.kw)) for j in range(p)]
-    packed = quantized_matmul(rows, cols)
-    a_hat = np.stack([unpack_quantization(r) for r in rows])
-    b_hat = np.stack([unpack_quantization(c) for c in cols], axis=1)
-    reference = a_hat @ b_hat
-    scale = max(1.0, float(np.max(np.abs(reference))))
-    deviation = float(np.max(np.abs(packed - reference))) / scale
-    ok = deviation < 1e-6
-    _emit(
-        {
-            "m": m,
-            "n": n,
-            "p": p,
-            "ka": args.ka,
-            "kw": args.kw,
-            "max_relative_deviation": deviation,
-            "pass": ok,
-        }
-    )
-    return 0 if ok else 2
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bitquant", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -313,15 +274,6 @@ def _build_parser() -> _Parser:
     e.add_argument("--top", type=int, default=None)
     e.add_argument("--out", required=True)
     e.set_defaults(handler=cmd_energy)
-
-    gc = sub.add_parser("gemm-check", help="verify packed matmul against floats")
-    gc.add_argument("--m", type=int, default=64)
-    gc.add_argument("--n", type=int, default=256)
-    gc.add_argument("--p", type=int, default=32)
-    gc.add_argument("--ka", type=int, default=2)
-    gc.add_argument("--kw", type=int, default=2)
-    gc.add_argument("--seed", type=int, default=0)
-    gc.set_defaults(handler=cmd_gemm_check)
 
     return parser
 

@@ -196,12 +196,16 @@ def objective(x, q) -> QuantizationObjective:
     the mse is inf only where the true value overflows.
     """
     x = as_float_vector(x)
-    recon = reconstruct(q)
-    if recon.size != x.size:
-        raise ValueError(f"length mismatch: {x.size} vs {recon.size}")
-    diff, e = _to_unit(x - recon)
-    diff *= diff
-    return QuantizationObjective(mse=float(_from_unit(_mean(diff, 1.0), e, 2)))
+    # A reconstruction past the float64 maximum misses x by at least an ulp
+    # of that maximum (2^971), whose square overflows: the inf it gives here
+    # is the true mse, so its overflow is no cause for a warning.
+    with np.errstate(over="ignore"):
+        recon = reconstruct(q)
+        if recon.size != x.size:
+            raise ValueError(f"length mismatch: {x.size} vs {recon.size}")
+        diff, e = _to_unit(x - recon)
+        diff *= diff
+        return QuantizationObjective(mse=float(_from_unit(_mean(diff, 1.0), e, 2)))
 
 
 def foldable_planes(x, levels) -> np.ndarray:

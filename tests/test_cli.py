@@ -433,29 +433,12 @@ def test_energy_nonconvergence_exits_three(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-# --- gemm-check -----------------------------------------------------------
-
-
-def test_gemm_check_passes_on_small_case(capsys):
-    code, stdout, _ = run(
-        capsys, "gemm-check", "--m", "8", "--n", "128", "--p", "6", "--ka", "2", "--kw", "3"
-    )
-    assert code == 0
-    payload = last_json(stdout)
-    assert payload["pass"] is True
-    assert payload["max_relative_deviation"] < 1e-6
-
-
-def test_gemm_check_validation(capsys):
-    code, _, _ = run(capsys, "gemm-check", "--m", "0")
-    assert code == 1
-
-
 # --- top-level behavior ---------------------------------------------------
 
 
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 1
+    assert main(["gemm-check"]) == 1
     capsys.readouterr()
 
 

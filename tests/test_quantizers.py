@@ -137,18 +137,24 @@ def test_objective_is_finite_where_the_true_mse_is():
 
 
 @pytest.mark.parametrize(
-    "fit",
-    [quantize_ls1, quantize_ls2, quantize_ternary, lambda x: quantize_greedy(x, 2)],
+    ("fit", "big_mse"),
+    [(quantize_ls1, np.inf), (quantize_ls2, 3.0), (quantize_ternary, 3.0),
+     (lambda x: quantize_greedy(x, 2), np.inf)],
     ids=["ls1", "ls2", "ternary", "greedy-2"],
 )
-def test_fits_whose_magnitudes_sum_past_the_float64_maximum(fit):
+def test_fits_whose_magnitudes_sum_past_the_float64_maximum(fit, big_mse):
     # Sum |x| overflows on both inputs although mean |x| does not.  Every
     # family reconstructs the second exactly; at this scale an error of one
-    # ulp would already square past the float64 maximum.
+    # ulp would already square past the float64 maximum.  On the first, ls2
+    # and ternary miss only the 3.0; the ls1 and greedy-2 mse overflows
+    # (greedy-2's reconstruction itself passes the float64 maximum).
     top = 2.0**1023
+    big = [1.7e308, -1.7e308, 3.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isfinite(fit([1.7e308, -1.7e308, 3.0]).levels).all()
+        q = fit(big)
+        assert np.isfinite(q.levels).all()
+        assert objective(big, q).mse == big_mse
         q = fit([top, -top, top])
         assert np.isfinite(q.levels).all()
         assert objective([top, -top, top], q).mse == 0.0
