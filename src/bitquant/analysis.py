@@ -70,12 +70,12 @@ def angle(x, y) -> AngleMetric:
 # Method tokens
 
 
-def parse_method(token: str, ks=()) -> list[tuple[str, int]]:
-    """Expand a method token into (family, bits) pairs.
+def parse_method(token: str) -> tuple[str, int]:
+    """The (family, bits) pair a method token names.
 
     Fixed-width families are bare tokens (``ls1``, ``ls2``, ``ternary``).
-    Variable-width families take a suffix (``greedy-3``, ``lloyd-2``) or,
-    without one, expand over ``ks``.  ``gf`` is accepted as an alias for
+    Variable-width families carry the width as a decimal suffix
+    (``greedy-3``, ``lloyd-2``).  ``gf`` is accepted as an alias for
     ``greedy``.
     """
     family, dash, suffix = token.strip().lower().partition("-")
@@ -87,18 +87,15 @@ def parse_method(token: str, ks=()) -> list[tuple[str, int]]:
     if fixed is not None:
         if dash:
             raise ValueError(f"unknown method {token!r}")
-        return [(family, fixed)]
-    if dash:
-        try:
-            ks = (int(suffix),)
-        except ValueError as exc:
-            raise ValueError(f"bit width in {token!r} must be an integer") from exc
-    if not ks:
+        return family, fixed
+    if not dash:
         raise ValueError(f"method {token!r} needs a bit width (e.g. {token}-2)")
-    for k in ks:
-        if int(k) < 1:
-            raise ValueError(f"bit width {k} for {token!r} must be positive")
-    return [(family, int(k)) for k in ks]
+    if not (suffix.isascii() and suffix.isdigit()):
+        raise ValueError(f"bit width in {token!r} must be an integer")
+    k = int(suffix)
+    if k < 1:
+        raise ValueError(f"bit width {k} for {token!r} must be positive")
+    return family, k
 
 
 @dataclass(frozen=True)
@@ -124,15 +121,13 @@ class SweepReport:
     failures: tuple = ()
 
 
-def run_sweep(specs, methods, ks=()) -> SweepReport:
+def run_sweep(specs, methods) -> SweepReport:
     """Quantize every generated spec with every method; collect quality rows.
 
     A row that fails to fit is recorded in ``failures`` and skipped rather
     than aborting the remaining grid.
     """
-    expanded: list[tuple[str, int]] = []
-    for token in methods:
-        expanded.extend(parse_method(token, ks))
+    expanded = [parse_method(token) for token in methods]
     rows = []
     failures = []
     for spec in specs:

@@ -209,6 +209,8 @@ def quantized_matmul(rows, cols) -> np.ndarray:
 
 def save_packed(pq: PackedQuantizedVector, path) -> None:
     """Write a packed quantized vector to ``path`` in BQT1 format."""
+    if pq.k > _MAX_PLANES:
+        raise ValueError(f"BQT1 holds at most {_MAX_PLANES} planes, got {pq.k}")
     header = struct.pack("<4sIQ", _BQT_MAGIC, pq.k, pq.n)
     body = pq.levels.astype("<f8").tobytes() + pq.words.astype("<u8").tobytes()
     Path(path).write_bytes(header + body)

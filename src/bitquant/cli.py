@@ -85,9 +85,7 @@ def _parse_dist(token: str) -> tuple[str, tuple]:
 
 def cmd_quantize(args) -> int:
     x = load_tensor(args.input, args.format).reshape(-1)
-    family, k = parse_method(args.method, ks=(args.bits,) if args.bits is not None else ())[0]
-    if args.bits is not None and args.bits != k:
-        raise ValueError(f"method {args.method!r} is {k}-bit, but --bits {args.bits} given")
+    family, k = parse_method(args.method)
     q = _FAMILIES[family][0](x, k)
     if isinstance(q, LloydQuantizer):
         # The Lloyd codebook is not a sum of sign planes; serialize the
@@ -137,6 +135,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.seeds < 1:
+        raise ValueError("--seeds must be at least 1")
     specs = []
     for token in args.spec:
         head, sep, tail = token.rpartition(":")
@@ -156,11 +156,7 @@ def cmd_analyze(args) -> int:
     methods = [m for m in args.methods.split(",") if m]
     if not methods:
         raise ValueError("--methods must name at least one method")
-    try:
-        ks = tuple(int(b) for b in args.bits.split(",")) if args.bits else ()
-    except ValueError as exc:
-        raise ValueError(f"--bits {args.bits!r} must be comma-separated integers") from exc
-    report = run_sweep(specs, methods, ks)
+    report = run_sweep(specs, methods)
     for failure in report.failures:
         print(f"row failed: {failure}", file=sys.stderr)
     emit_report(report, args.out, args.report_format)
@@ -239,7 +235,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--in", dest="input", required=True)
     q.add_argument("--format", choices=("fqt", "csv"), default=None)
     q.add_argument("--method", required=True)
-    q.add_argument("--bits", type=int, default=None)
     q.add_argument("--out", required=True)
     q.add_argument("--recon", default=None, help="optional reconstruction output")
     q.set_defaults(handler=cmd_quantize)
@@ -255,7 +250,6 @@ def _build_parser() -> _Parser:
     a = sub.add_parser("analyze", help="sweep methods over synthetic specs")
     a.add_argument("--spec", action="append", required=True, help="dist:n, repeatable")
     a.add_argument("--methods", required=True, help="comma-separated method tokens")
-    a.add_argument("--bits", default=None, help="bit widths for greedy/lloyd")
     a.add_argument("--seeds", type=int, default=1)
     a.add_argument("--base-seed", type=int, default=0)
     a.add_argument("--out", required=True)

@@ -15,7 +15,7 @@ squared reconstruction error, each under its own structural constraint:
 * ``quantize_ternary``: two bits with tied levels v_1 = v_2 = v, so the
   reconstruction values are {-2v, 0, +2v}.
 * ``quantize_greedy``: any k; fits one plane at a time to the running
-  residual.  For k = 1 it coincides bit-for-bit with ``quantize_ls1``.
+  residual.  Its k = 1 fit is ``quantize_ls1``.
 * ``quantize_lloyd``: an unconstrained 2^k-codeword scalar quantizer fitted
   by alternating assignment and recentering; a reference point rather than
   a scaled binary form.  ``lloyd_to_scaled_binary`` projects its result
@@ -244,21 +244,20 @@ def _mean(a: np.ndarray, top: float) -> float:
 
 def quantize_ls1(x) -> ScaledBinaryQuantization:
     """Least squares 1-bit quantization: v = mean |x|, s = sign(x)."""
-    x = as_float_vector(x)
-    mags = np.abs(x)
-    return ScaledBinaryQuantization(
-        levels=np.array([_mean(mags, mags.max())]),
-        planes=sign(x)[None, :],
-        method="ls1",
-    )
+    return _greedy(x, 1, "ls1")
 
 
 def quantize_greedy(x, k: int) -> ScaledBinaryQuantization:
     """Greedy k-bit quantization by repeated 1-bit fits to the residual.
 
     Levels are reported in generation order.  Every prefix of the planes is
-    foldable by construction, and k = 1 reproduces ``quantize_ls1`` exactly.
+    foldable by construction, and k = 1 is ``quantize_ls1``.
     """
+    return _greedy(x, k, "greedy")
+
+
+def _greedy(x, k: int, method: str) -> ScaledBinaryQuantization:
+    """The greedy fit of k planes, tagged ``method``."""
     x = as_float_vector(x)
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -275,7 +274,7 @@ def quantize_greedy(x, k: int) -> ScaledBinaryQuantization:
         if i + 1 < k:
             residual = residual - levels[i] * planes[i]
             np.abs(residual, out=mags)
-    return ScaledBinaryQuantization(levels=levels, planes=planes, method="greedy")
+    return ScaledBinaryQuantization(levels=levels, planes=planes, method=method)
 
 
 # ---------------------------------------------------------------------------

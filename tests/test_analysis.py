@@ -71,17 +71,12 @@ def test_angle_is_scale_invariant():
 
 
 def test_parse_method_table():
-    assert parse_method("ls1") == [("ls1", 1)]
-    assert parse_method("LS2") == [("ls2", 2)]
-    assert parse_method("ternary") == [("ternary", 2)]
-    assert parse_method("greedy-3") == [("greedy", 3)]
-    assert parse_method("gf-4") == [("greedy", 4)]
-    assert parse_method("lloyd-2") == [("lloyd", 2)]
-    assert parse_method("greedy", ks=(1, 2, 4)) == [
-        ("greedy", 1),
-        ("greedy", 2),
-        ("greedy", 4),
-    ]
+    assert parse_method("ls1") == ("ls1", 1)
+    assert parse_method("LS2") == ("ls2", 2)
+    assert parse_method("ternary") == ("ternary", 2)
+    assert parse_method("greedy-3") == ("greedy", 3)
+    assert parse_method("gf-4") == ("greedy", 4)
+    assert parse_method("lloyd-2") == ("lloyd", 2)
 
 
 def test_parse_method_errors():
@@ -90,15 +85,16 @@ def test_parse_method_errors():
     with pytest.raises(ValueError):
         parse_method("greedy-0")
     with pytest.raises(ValueError):
-        parse_method("greedy")  # no ks to expand over
+        parse_method("greedy")  # no bit width
     with pytest.raises(ValueError, match="'greedy-x' must be an integer"):
         parse_method("greedy-x")
     with pytest.raises(ValueError, match="'lloyd-2.5' must be an integer"):
         parse_method("lloyd-2.5")
-    with pytest.raises(ValueError, match="bit width 0 for 'greedy' must be positive"):
-        parse_method("greedy", ks=(2, 0))
-    with pytest.raises(ValueError, match="bit width -1 for 'lloyd' must be positive"):
-        parse_method("lloyd", ks=(-1,))
+    # Only ASCII decimal digits: int() would read each of these as a width.
+    for token in ("lloyd-1_6", "greedy-+3", "greedy- 3"):
+        message = f"bit width in '{token}' must be an integer"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_method(token)
 
 
 # --- sweeps ---------------------------------------------------------------

@@ -280,7 +280,7 @@ def test_matmul_memory_is_bounded_by_a_row_block():
 # --- BQT1 files -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("n,k", [(1, 1), (64, 2), (65, 3), (300, 2)])
+@pytest.mark.parametrize("n,k", [(1, 1), (64, 2), (65, 3), (300, 2), (100, 64)])
 def test_bqt_round_trip_exact(tmp_path, n, k):
     q = random_quantization(n, k, seed=n + k)
     pq = pack_quantization(q)
@@ -296,6 +296,13 @@ def test_bqt_round_trip_exact(tmp_path, n, k):
         bits = np.concatenate([signs > 0, np.zeros(padding, dtype=bool)])
         expected += np.packbits(bits, bitorder="little").tobytes()
     assert path.read_bytes() == expected
+
+
+def test_bqt_save_rejects_more_planes_than_it_loads(tmp_path):
+    path = tmp_path / "wide.bqt"
+    with pytest.raises(ValueError, match="BQT1 holds at most 64 planes, got 65"):
+        save_packed(random_packed(70, 65, seed=3), path)
+    assert not path.exists()
 
 
 def test_bqt_malformed_files(tmp_path):

@@ -133,7 +133,7 @@ def test_quantize_csv_input(tmp_path, capsys):
     save_tensor([1.0, -2.0, 3.0, -4.0], x_path)
     out = tmp_path / "q.bqt"
     code, stdout, _ = run(
-        capsys, "quantize", "--in", str(x_path), "--method", "greedy", "--bits", "3",
+        capsys, "quantize", "--in", str(x_path), "--method", "greedy-3",
         "--out", str(out),
     )
     assert code == 0
@@ -187,11 +187,12 @@ def test_quantize_errors(tmp_path, capsys):
     x_path = tmp_path / "x.fqt"
     run(capsys, "gen", "--dist", "normal", "--n", "10", "--out", str(x_path))
 
-    code, _, _ = run(
+    code, _, stderr = run(
         capsys, "quantize", "--in", str(x_path), "--method", "ls2", "--bits", "3",
         "--out", str(tmp_path / "q.bqt"),
     )
-    assert code == 1  # bits contradict the method
+    assert code == 1  # --bits is not an option; the width lives in the token
+    assert "unrecognized arguments: --bits 3" in stderr
 
     code, _, _ = run(
         capsys, "quantize", "--in", str(x_path), "--method", "vq",
@@ -207,11 +208,19 @@ def test_quantize_errors(tmp_path, capsys):
     assert stderr == "bitquant: bit width in 'greedy-x' must be an integer\n"
 
     code, _, stderr = run(
-        capsys, "quantize", "--in", str(x_path), "--method", "greedy", "--bits", "0",
+        capsys, "quantize", "--in", str(x_path), "--method", "greedy-0",
         "--out", str(tmp_path / "q.bqt"),
     )
     assert code == 1
-    assert stderr == "bitquant: bit width 0 for 'greedy' must be positive\n"
+    assert stderr == "bitquant: bit width 0 for 'greedy-0' must be positive\n"
+
+    wide = tmp_path / "wide.bqt"
+    code, _, stderr = run(
+        capsys, "quantize", "--in", str(x_path), "--method", "greedy-65", "--out", str(wide)
+    )
+    assert code == 1
+    assert stderr == "bitquant: BQT1 holds at most 64 planes, got 65\n"
+    assert not wide.exists()
 
     code, _, _ = run(
         capsys, "quantize", "--in", str(tmp_path / "missing.fqt"), "--method", "ls1",
@@ -264,8 +273,7 @@ def test_analyze_json_report_with_bits(tmp_path, capsys):
         capsys,
         "analyze",
         "--spec", "normal:256",
-        "--methods", "greedy",
-        "--bits", "1,2,4",
+        "--methods", "greedy-1,greedy-2,greedy-4",
         "--format", "json",
         "--out", str(out),
     )
@@ -308,18 +316,34 @@ def test_analyze_bad_spec(tmp_path, capsys):
     assert code == 1
 
     code, _, stderr = run(
-        capsys, "analyze", "--spec", "normal:10", "--methods", "greedy", "--bits", "1,x",
+        capsys, "analyze", "--spec", "normal:10", "--methods", "greedy-x",
         "--out", str(tmp_path / "r.csv"),
     )
     assert code == 1
-    assert stderr == "bitquant: --bits '1,x' must be comma-separated integers\n"
+    assert stderr == "bitquant: bit width in 'greedy-x' must be an integer\n"
 
     code, _, stderr = run(
-        capsys, "analyze", "--spec", "normal:10", "--methods", "greedy", "--bits", "2,0",
+        capsys, "analyze", "--spec", "normal:10", "--methods", "greedy-2,greedy-0",
         "--out", str(tmp_path / "r.csv"),
     )
     assert code == 1
-    assert stderr == "bitquant: bit width 0 for 'greedy' must be positive\n"
+    assert stderr == "bitquant: bit width 0 for 'greedy-0' must be positive\n"
+
+    code, _, stderr = run(
+        capsys, "analyze", "--spec", "normal:10", "--methods", "greedy-3", "--bits", "3",
+        "--out", str(tmp_path / "r.csv"),
+    )
+    assert code == 1 and "unrecognized arguments: --bits 3" in stderr
+
+    out = tmp_path / "seeds.csv"
+    for seeds in ("0", "-2"):
+        code, _, stderr = run(
+            capsys, "analyze", "--spec", "normal:10", "--methods", "ls1", "--seeds", seeds,
+            "--out", str(out),
+        )
+        assert code == 1
+        assert stderr == "bitquant: --seeds must be at least 1\n"
+        assert not out.exists()
 
 
 # --- curve ----------------------------------------------------------------
