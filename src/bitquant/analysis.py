@@ -32,7 +32,7 @@ from .quantizers import (
     objective,
     reconstruct,
 )
-from .tensor import as_float_vector, generate
+from .tensor import _Record, as_float_vector, generate
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT2 = math.sqrt(2.0)
@@ -212,8 +212,8 @@ class Intersection:
     objective: float
 
 
-@dataclass(frozen=True)
-class ConditionCurve:
+@dataclass(frozen=True, eq=False)
+class ConditionCurve(_Record):
     """Sampled conditional-mean curves over a threshold grid.
 
     ``lower_mean`` is NaN where the lower group is empty; ``average`` treats

@@ -38,7 +38,7 @@ from .errors import (
     NonFiniteValueError,
 )
 from .quantizers import ScaledBinaryQuantization
-from .tensor import _MAX_ELEMENTS
+from .tensor import _MAX_ELEMENTS, _Record
 
 WORD_BITS = 64
 _BQT_MAGIC = b"BQT1"
@@ -60,8 +60,8 @@ def _tail_mask(n_bits: int) -> np.uint64:
     return np.uint64((1 << used) - 1)
 
 
-@dataclass(frozen=True)
-class PackedQuantizedVector:
+@dataclass(frozen=True, eq=False)
+class PackedQuantizedVector(_Record):
     """Quantization levels plus bit-packed sign planes.
 
     ``levels`` is a (k,) float64 array of finite nonnegative scalars,
@@ -74,8 +74,8 @@ class PackedQuantizedVector:
     n: int
 
     def __post_init__(self):
-        levels = np.ascontiguousarray(self.levels, dtype=np.float64)
-        words = np.ascontiguousarray(self.words, dtype=np.uint64)
+        levels = np.array(self.levels, dtype=np.float64, order="C")
+        words = np.array(self.words, dtype=np.uint64, order="C")
         n = operator.index(self.n)
         if n < 1:
             raise ValueError("a packed vector needs at least one element")
@@ -151,12 +151,17 @@ def _products(a_words, a_levels, b_words, b_levels, n: int):
     return cross, values
 
 
-@dataclass(frozen=True)
-class QuantizedDotResult:
+@dataclass(frozen=True, eq=False)
+class QuantizedDotResult(_Record):
     """Value and the integer plane-product table behind it."""
 
     value: float
     cross_terms: np.ndarray
+
+    def __post_init__(self):
+        cross_terms = np.array(self.cross_terms, dtype=np.int64, order="C")
+        cross_terms.setflags(write=False)
+        object.__setattr__(self, "cross_terms", cross_terms)
 
 
 def quantized_dot(a: PackedQuantizedVector, b: PackedQuantizedVector) -> QuantizedDotResult:

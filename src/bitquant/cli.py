@@ -38,7 +38,7 @@ from .quantizers import (
     reconstruct,
 )
 from .rank1 import channel_mean_rank1, energy_profile, rank1_binary, residual_fro2
-from .tensor import SyntheticSpec, generate, load_tensor, save_tensor
+from .tensor import SyntheticSpec, _number, generate, load_tensor, save_tensor
 
 
 class _DataError(Exception):
@@ -77,14 +77,14 @@ def _parse_dist(token: str) -> tuple[str, tuple]:
     params: tuple = ()
     if inner:
         try:
-            params = tuple(float(p) for p in inner.split(","))
+            params = tuple(_number(p, float) for p in inner.split(","))
         except ValueError as exc:
             raise ValueError(f"bad parameter in distribution {token!r}") from exc
     return name, params
 
 
 def cmd_quantize(args) -> int:
-    x = load_tensor(args.input, args.format).reshape(-1)
+    x = load_tensor(args.input).reshape(-1)
     family, k = parse_method(args.method)
     q = _FAMILIES[family][0](x, k)
     if isinstance(q, LloydQuantizer):
@@ -109,25 +109,17 @@ def cmd_quantize(args) -> int:
 
 def cmd_gen(args) -> int:
     name, params = _parse_dist(args.dist)
-    if (args.n is None) == (args.shape is None):
-        raise ValueError("exactly one of --n or --shape is required")
-    if args.shape is not None:
-        m, n = args.shape
-        if m < 1 or n < 1:
-            raise ValueError("--shape dimensions must be positive")
-        total = m * n
-    else:
-        total = args.n
-    spec = SyntheticSpec(distribution=name, n=total, seed=args.seed, params=params)
-    data = generate(spec)
-    if args.shape is not None:
-        data = data.reshape(args.shape)
-    save_tensor(data, args.out)
+    if len(args.shape) > 2 or min(args.shape) < 1:
+        raise ValueError("--shape takes one or two positive dimensions")
+    spec = SyntheticSpec(
+        distribution=name, n=math.prod(args.shape), seed=args.seed, params=params
+    )
+    save_tensor(generate(spec).reshape(args.shape), args.out)
     _emit(
         {
             "out": args.out,
             "distribution": spec.label(),
-            "n": total,
+            "n": spec.n,
             "seed": args.seed,
         }
     )
@@ -144,7 +136,7 @@ def cmd_analyze(args) -> int:
             raise ValueError(f"spec {token!r} must look like dist:n")
         name, params = _parse_dist(head)
         try:
-            n = int(tail)
+            n = _number(tail, int)
         except ValueError as exc:
             raise ValueError(f"bad element count in spec {token!r}") from exc
         for s in range(args.seeds):
@@ -159,14 +151,12 @@ def cmd_analyze(args) -> int:
     report = run_sweep(specs, methods)
     for failure in report.failures:
         print(f"row failed: {failure}", file=sys.stderr)
-    emit_report(report, args.out, args.report_format)
+    emit_report(report, args.out, "json" if args.out.lower().endswith(".json") else "csv")
     _emit({"rows": len(report.rows), "failures": len(report.failures), "out": args.out})
     return 0
 
 
 def cmd_curve(args) -> int:
-    if (args.input is None) == (args.dist is None):
-        raise ValueError("exactly one of --in or --dist is required")
     if args.grid < 2:
         raise ValueError("--grid must be at least 2")
     if args.dist is not None:
@@ -233,7 +223,6 @@ def _build_parser() -> _Parser:
 
     q = sub.add_parser("quantize", help="fit a quantizer and write a BQT1 file")
     q.add_argument("--in", dest="input", required=True)
-    q.add_argument("--format", choices=("fqt", "csv"), default=None)
     q.add_argument("--method", required=True)
     q.add_argument("--out", required=True)
     q.add_argument("--recon", default=None, help="optional reconstruction output")
@@ -241,31 +230,30 @@ def _build_parser() -> _Parser:
 
     g = sub.add_parser("gen", help="write a synthetic tensor")
     g.add_argument("--dist", required=True)
-    g.add_argument("--n", type=int, default=None)
-    g.add_argument("--shape", type=int, nargs=2, default=None, metavar=("M", "N"))
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--shape", type=_number, nargs="+", required=True, help="N or M N")
+    g.add_argument("--seed", type=_number, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(handler=cmd_gen)
 
     a = sub.add_parser("analyze", help="sweep methods over synthetic specs")
     a.add_argument("--spec", action="append", required=True, help="dist:n, repeatable")
     a.add_argument("--methods", required=True, help="comma-separated method tokens")
-    a.add_argument("--seeds", type=int, default=1)
-    a.add_argument("--base-seed", type=int, default=0)
-    a.add_argument("--out", required=True)
-    a.add_argument("--format", dest="report_format", choices=("csv", "json"), default="csv")
+    a.add_argument("--seeds", type=_number, default=1)
+    a.add_argument("--base-seed", type=_number, default=0)
+    a.add_argument("--out", required=True, help="JSON if the name ends in .json, else CSV")
     a.set_defaults(handler=cmd_analyze)
 
     c = sub.add_parser("curve", help="sample a conditional-mean condition curve")
-    c.add_argument("--in", dest="input", default=None)
-    c.add_argument("--dist", default=None, help="'normal' for the analytic curve")
-    c.add_argument("--grid", type=int, required=True)
+    source = c.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="input")
+    source.add_argument("--dist", help="'normal' for the analytic curve")
+    c.add_argument("--grid", type=_number, required=True)
     c.add_argument("--out", required=True)
     c.set_defaults(handler=cmd_curve)
 
     e = sub.add_parser("energy", help="rank-1 energy profile of a matrix")
     e.add_argument("--in", dest="input", required=True)
-    e.add_argument("--top", type=int, default=None)
+    e.add_argument("--top", type=_number, default=None)
     e.add_argument("--out", required=True)
     e.set_defaults(handler=cmd_energy)
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import as_float_vector
+from .tensor import _Record, as_float_vector
 
 
 def sign(values):
@@ -53,8 +53,8 @@ def sign(values):
     return out
 
 
-@dataclass(frozen=True)
-class ScaledBinaryQuantization:
+@dataclass(frozen=True, eq=False)
+class ScaledBinaryQuantization(_Record):
     """Levels and sign planes of a k-bit scaled binary quantization.
 
     ``levels`` is a (k,) float64 array of nonnegative scalars and ``planes``
@@ -68,7 +68,7 @@ class ScaledBinaryQuantization:
     method: str
 
     def __post_init__(self):
-        levels = np.ascontiguousarray(self.levels, dtype=np.float64)
+        levels = np.array(self.levels, dtype=np.float64, order="C")
         planes = np.asarray(self.planes)
         if levels.ndim != 1 or levels.size < 1:
             raise ValueError("levels must be a nonempty 1-D array")
@@ -79,7 +79,7 @@ class ScaledBinaryQuantization:
         # Checked before the int8 cast, which would truncate 1.5 to 1.
         if not (np.abs(planes) == 1).all():
             raise ValueError("plane entries must be +1 or -1")
-        planes = np.ascontiguousarray(planes, dtype=np.int8)
+        planes = np.array(planes, dtype=np.int8, order="C")
         if self.method not in _FAMILIES:
             raise ValueError(f"unknown method {self.method!r}")
         # Greedy keeps its levels in generation order, which residual
@@ -103,8 +103,8 @@ class ScaledBinaryQuantization:
         return int(self.planes.shape[1])
 
 
-@dataclass(frozen=True)
-class LloydQuantizer:
+@dataclass(frozen=True, eq=False)
+class LloydQuantizer(_Record):
     """A fitted 2^k-codeword scalar quantizer.
 
     ``codebook`` holds the codewords sorted ascending, ``thresholds`` the
@@ -123,9 +123,9 @@ class LloydQuantizer:
     reseeds: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        codebook = np.ascontiguousarray(self.codebook, dtype=np.float64)
-        thresholds = np.ascontiguousarray(self.thresholds, dtype=np.float64)
-        codes = np.ascontiguousarray(self.codes, dtype=np.int64)
+        codebook = np.array(self.codebook, dtype=np.float64, order="C")
+        thresholds = np.array(self.thresholds, dtype=np.float64, order="C")
+        codes = np.array(self.codes, dtype=np.int64, order="C")
         if codebook.ndim != 1 or codebook.size < 2:
             raise ValueError("codebook must hold at least two codewords")
         if not np.isfinite(codebook).all():
@@ -374,12 +374,9 @@ def _fixed_points(mags: np.ndarray, gain, in_runs, with_lower: bool):
         cuts.append(after)
     accepted = []
     for ti in cuts:
-        m_lo = _mean(mags[:ti], mags[-1]) if ti > 0 else 0.0
+        m_lo = _mean(mags[:ti], mags[-1]) if with_lower and ti > 0 else 0.0
         m_hi = _mean(mags[ti:], mags[-1])
-        if with_lower:
-            v1, v2 = 0.5 * (m_lo + m_hi), 0.5 * (m_hi - m_lo)
-        else:
-            v1 = v2 = 0.5 * m_hi
+        v1, v2 = 0.5 * (m_lo + m_hi), 0.5 * (m_hi - m_lo)
         # Rounded slice means of a cluster a few ulps wide can give v2 < 0.
         if (ti == 0 or mags[ti - 1] <= v1) and v1 < mags[ti] and v2 >= 0:
             accepted.append((v1, v2))

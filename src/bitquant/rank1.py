@@ -30,15 +30,15 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .quantizers import _from_unit, _to_unit, sign
-from .tensor import as_float_matrix
+from .tensor import _Record, as_float_matrix
 
 _REL_SLACK = 1e-9
 _POWER_TOL = 1e-12
 _POWER_MAX_ITERS = 10_000
 
 
-@dataclass(frozen=True)
-class Rank1Factorization:
+@dataclass(frozen=True, eq=False)
+class Rank1Factorization(_Record):
     """sigma, unit vectors u (m,) and v (n,), and the sign matrix (m, n).
 
     ``sigma`` is nonnegative, u and v are entrywise nonnegative unit
@@ -51,9 +51,9 @@ class Rank1Factorization:
     signs: np.ndarray
 
     def __post_init__(self):
-        u = np.ascontiguousarray(self.u, dtype=np.float64)
-        v = np.ascontiguousarray(self.v, dtype=np.float64)
-        signs = np.ascontiguousarray(self.signs, dtype=np.int8)
+        u = np.array(self.u, dtype=np.float64, order="C")
+        v = np.array(self.v, dtype=np.float64, order="C")
+        signs = np.array(self.signs, dtype=np.int8, order="C")
         if self.sigma < 0 or not np.isfinite(self.sigma):
             raise ValueError("sigma must be finite and nonnegative")
         if u.ndim != 1 or v.ndim != 1:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,25 @@ _FQT_MAGIC = b"FQT1"
 # Desk-scale sanity bound on element counts; anything above this is treated
 # as a corrupt header rather than a plausible tensor.
 _MAX_ELEMENTS = 1 << 40
+
+
+class _Record:
+    """Value equality for the frozen dataclasses that hold arrays.
+
+    Arrays and floats compare with ``np.array_equal(..., equal_nan=True)``,
+    other fields with ``==``; ``compare=False`` fields are skipped.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare]
+        return all(
+            np.array_equal(a, b, equal_nan=True) if isinstance(a, (np.ndarray, float)) else a == b
+            for a, b in pairs
+        )
+
+    __hash__ = None
 
 
 def as_float_vector(data) -> np.ndarray:
@@ -144,6 +163,14 @@ def generate(spec: SyntheticSpec) -> np.ndarray:
 # File formats
 
 
+def _number(token: str, parse=int):
+    """``parse(token)`` for ASCII text without ``_``, which ``int`` and
+    ``float`` would otherwise read as digits (``1_0`` as 10, ``١٢`` as 12)."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"invalid {parse.__name__} value: {token!r}")
+    return parse(token)
+
+
 def _infer_format(path, fmt: str | None) -> str:
     if fmt is not None:
         token = fmt.lower()
@@ -156,7 +183,7 @@ def _infer_format(path, fmt: str | None) -> str:
     if suffix == ".csv":
         return "csv"
     raise ValueError(
-        f"cannot infer tensor format from {path!r}; pass format='fqt' or 'csv'"
+        f"cannot infer tensor format from {path!r}; pass fmt='fqt' or 'csv'"
     )
 
 
@@ -240,9 +267,12 @@ def _load_csv(path) -> np.ndarray:
     if not tokens:
         raise MalformedHeaderError(f"{path}: empty CSV")
     values = np.empty(len(tokens), dtype=np.float64)
+    # float() alone reads 1_0 and non-ASCII digits; one pass over the text
+    # rules both out, and only a text that fails it is checked token by token.
+    parse = float if text.isascii() and "_" not in text else lambda t: _number(t, float)
     for i, tok in enumerate(tokens):
         try:
-            values[i] = float(tok)
+            values[i] = parse(tok)
         except ValueError as exc:
             raise MalformedHeaderError(f"{path}: bad numeric token {tok!r}") from exc
     if not np.all(np.isfinite(values)):

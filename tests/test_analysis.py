@@ -86,6 +86,8 @@ def test_parse_method_errors():
         parse_method("greedy-0")
     with pytest.raises(ValueError):
         parse_method("greedy")  # no bit width
+    with pytest.raises(ValueError, match="unknown method 'ls1-2'"):
+        parse_method("ls1-2")  # fixed-width families take no suffix
     with pytest.raises(ValueError, match="'greedy-x' must be an integer"):
         parse_method("greedy-x")
     with pytest.raises(ValueError, match="'lloyd-2.5' must be an integer"):

@@ -158,6 +158,16 @@ def test_packed_vector_rejections(levels, words, n, message):
         )
 
 
+def test_packed_vector_stores_its_own_copies():
+    words = np.array([[0b101]], dtype=np.uint64)
+    levels = np.array([1.0])
+    pq = PackedQuantizedVector(levels=levels, words=words, n=3)
+    words[0, 0] = 0xFF  # would set padding bits beyond n = 3
+    levels[0] = 2.0
+    assert pq.words[0, 0] == 0b101 and pq.levels[0] == 1.0
+    assert unpack_quantization(pq).tolist() == [1.0, -1.0, 1.0]
+
+
 # --- quantized dot products -----------------------------------------------
 
 
@@ -181,6 +191,8 @@ def test_cross_terms_are_the_plane_dots():
         for j in range(3):
             assert result.cross_terms[i, j] == quantized_dot(plane(a, i), plane(b, j)).cross_terms[0, 0]
     assert np.all(np.abs(result.cross_terms) <= 100)
+    with pytest.raises(ValueError):
+        result.cross_terms[0, 0] = 0
 
 
 def test_quantized_dot_length_mismatch():

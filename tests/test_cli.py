@@ -10,6 +10,8 @@ import pytest
 
 from bitquant import (
     ConvergenceError,
+    SyntheticSpec,
+    generate,
     load_packed,
     load_tensor,
     lloyd_to_scaled_binary,
@@ -38,12 +40,15 @@ def last_json(out: str) -> dict:
 
 def test_gen_writes_deterministic_tensor(tmp_path, capsys):
     out = tmp_path / "x.fqt"
-    code, stdout, _ = run(capsys, "gen", "--dist", "normal", "--n", "100", "--out", str(out))
+    code, stdout, _ = run(capsys, "gen", "--dist", "normal", "--shape", "100", "--out", str(out))
     assert code == 0
     payload = last_json(stdout)
     assert payload["n"] == 100 and payload["distribution"] == "normal"
+    # One dimension writes the spec's vector.
+    expected = generate(SyntheticSpec("normal", 100, 0)).astype(np.float32)
+    assert np.array_equal(load_tensor(out), expected)
     first = out.read_bytes()
-    code, _, _ = run(capsys, "gen", "--dist", "normal", "--n", "100", "--out", str(out))
+    code, _, _ = run(capsys, "gen", "--dist", "normal", "--shape", "100", "--out", str(out))
     assert code == 0
     assert out.read_bytes() == first
 
@@ -57,39 +62,59 @@ def test_gen_matrix_and_csv(tmp_path, capsys):
     assert load_tensor(out).shape == (4, 5)
 
     csv_out = tmp_path / "v.csv"
-    code, _, _ = run(capsys, "gen", "--dist", "uniform(-1,1)", "--n", "7", "--out", str(csv_out))
+    code, _, _ = run(capsys, "gen", "--dist", "uniform(-1,1)", "--shape", "7", "--out", str(csv_out))
     assert code == 0
     assert load_tensor(csv_out).size == 7
+
+    code, _, _ = run(capsys, "gen", "--dist", "laplace(0.5)", "--shape", "7", "--out", str(csv_out))
+    assert code == 0
+    assert np.array_equal(load_tensor(csv_out), generate(SyntheticSpec("laplace", 7, 0, (0.5,))))
 
 
 def test_gen_standard_normal_alias(tmp_path, capsys):
     a = tmp_path / "a.fqt"
     b = tmp_path / "b.fqt"
-    run(capsys, "gen", "--dist", "standard-normal", "--n", "32", "--out", str(a))
-    run(capsys, "gen", "--dist", "normal", "--n", "32", "--out", str(b))
+    run(capsys, "gen", "--dist", "standard-normal", "--shape", "32", "--out", str(a))
+    run(capsys, "gen", "--dist", "normal", "--shape", "32", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
 
 
+_GEN_USAGE_ERRORS = [
+    (("--dist", "cauchy", "--shape", "10"), "unknown distribution 'cauchy'"),
+    (("--dist", "lognormal(0,-1)", "--shape", "10"), "lognormal sigma must be positive"),
+    (("--dist", "normal"), "the following arguments are required: --shape"),
+    (("--dist", "normal", "--shape", "5", "--n", "5"), "unrecognized arguments: --n 5"),
+    (("--dist", "normal", "--shape", "0"), "--shape takes one or two positive dimensions"),
+    (("--dist", "normal", "--shape", "-2", "3"), "--shape takes one or two positive"),
+    (("--dist", "normal", "--shape", "2", "3", "4"), "--shape takes one or two positive"),
+    (("--dist", "normal", "--shape", "1_0"), "invalid _number value: '1_0'"),
+    (("--dist", "normal", "--shape", "١٢"), "invalid _number value: '١٢'"),
+    (("--dist", "normal", "--shape", "10", "--seed", "1_0"), "invalid _number value"),
+    (("--dist", "laplace", "--shape", "10"), "laplace takes 1 parameter(s), got 0"),
+    (("--dist", "normal(1", "--shape", "10"), "cannot parse distribution 'normal(1'"),
+    (("--dist", "laplace(x)", "--shape", "10"), "bad parameter in distribution 'laplace(x)'"),
+    (("--dist", "laplace(1_0)", "--shape", "10"), "bad parameter in distribution"),
+    (("--dist", "laplace(١)", "--shape", "10"), "bad parameter in distribution"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("gen", "--dist", "cauchy", "--n", "10", "--out", "x.fqt"),
-        ("gen", "--dist", "lognormal(0,-1)", "--n", "10", "--out", "x.fqt"),
-        ("gen", "--dist", "normal", "--out", "x.fqt"),  # neither --n nor --shape
-        ("gen", "--dist", "normal", "--n", "5", "--shape", "2", "3", "--out", "x.fqt"),
-        ("gen", "--dist", "normal", "--n", "0", "--out", "x.fqt"),
-    ],
+    "args, message",
+    _GEN_USAGE_ERRORS,
+    ids=[f"argv{i}" for i in range(len(_GEN_USAGE_ERRORS))],
 )
-def test_gen_usage_errors(tmp_path, capsys, argv, monkeypatch):
+def test_gen_usage_errors(tmp_path, capsys, args, message, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    code, _, _ = run(capsys, *argv)
+    code, stdout, stderr = run(capsys, "gen", *args, "--out", "x.fqt")
     assert code == 1
+    assert stdout == "" and message in stderr
+    assert not (tmp_path / "x.fqt").exists()
 
 
 def test_gen_beyond_float32_range_writes_nothing(tmp_path, capsys):
     out = tmp_path / "ln.fqt"
     code, stdout, stderr = run(
-        capsys, "gen", "--dist", "lognormal(0,40)", "--n", "1000", "--seed", "1",
+        capsys, "gen", "--dist", "lognormal(0,40)", "--shape", "1000", "--seed", "1",
         "--out", str(out),
     )
     assert code == 1
@@ -102,7 +127,7 @@ def test_gen_beyond_float32_range_writes_nothing(tmp_path, capsys):
 
 def test_quantize_pipeline_matches_library(tmp_path, capsys):
     x_path = tmp_path / "x.fqt"
-    run(capsys, "gen", "--dist", "normal", "--n", "500", "--seed", "3", "--out", str(x_path))
+    run(capsys, "gen", "--dist", "normal", "--shape", "500", "--seed", "3", "--out", str(x_path))
     out = tmp_path / "q.bqt"
     recon = tmp_path / "r.fqt"
     code, stdout, _ = run(
@@ -143,7 +168,7 @@ def test_quantize_csv_input(tmp_path, capsys):
 
 def test_quantize_lloyd_serializes_plane_form(tmp_path, capsys):
     x_path = tmp_path / "x.fqt"
-    run(capsys, "gen", "--dist", "normal", "--n", "200", "--out", str(x_path))
+    run(capsys, "gen", "--dist", "normal", "--shape", "200", "--out", str(x_path))
     out = tmp_path / "q.bqt"
     code, stdout, _ = run(
         capsys, "quantize", "--in", str(x_path), "--method", "lloyd-2", "--out", str(out)
@@ -185,7 +210,7 @@ def test_quantize_lloyd_near_the_float64_maximum(tmp_path, capsys):
 
 def test_quantize_errors(tmp_path, capsys):
     x_path = tmp_path / "x.fqt"
-    run(capsys, "gen", "--dist", "normal", "--n", "10", "--out", str(x_path))
+    run(capsys, "gen", "--dist", "normal", "--shape", "10", "--out", str(x_path))
 
     code, _, stderr = run(
         capsys, "quantize", "--in", str(x_path), "--method", "ls2", "--bits", "3",
@@ -199,6 +224,13 @@ def test_quantize_errors(tmp_path, capsys):
         "--out", str(tmp_path / "q.bqt"),
     )
     assert code == 1
+
+    code, _, stderr = run(
+        capsys, "quantize", "--in", str(x_path), "--format", "csv", "--method", "ls1",
+        "--out", str(tmp_path / "q.bqt"),
+    )
+    assert code == 1  # the file name picks the format
+    assert "unrecognized arguments: --format csv" in stderr
 
     code, _, stderr = run(
         capsys, "quantize", "--in", str(x_path), "--method", "greedy-x",
@@ -274,12 +306,28 @@ def test_analyze_json_report_with_bits(tmp_path, capsys):
         "analyze",
         "--spec", "normal:256",
         "--methods", "greedy-1,greedy-2,greedy-4",
-        "--format", "json",
         "--out", str(out),
     )
     assert code == 0
     rows = json.loads(out.read_text())["rows"]
     assert [r["k"] for r in rows] == [1, 2, 4]
+
+
+def test_analyze_report_format_follows_the_out_name(tmp_path, capsys):
+    csv_out, json_out = tmp_path / "r.txt", tmp_path / "R.JSON"
+    for out in (csv_out, json_out):
+        code, _, _ = run(
+            capsys, "analyze", "--spec", "normal:100", "--methods", "ls1", "--out", str(out)
+        )
+        assert code == 0
+    assert csv_out.read_text().startswith("method,k,distribution")
+    assert json.loads(json_out.read_text())["rows"][0]["method"] == "ls1"
+
+    code, _, stderr = run(
+        capsys, "analyze", "--spec", "normal:100", "--methods", "ls1", "--format", "json",
+        "--out", str(tmp_path / "r.csv"),
+    )
+    assert code == 1 and "unrecognized arguments: --format json" in stderr
 
 
 def test_analyze_reports_row_failures_to_stderr(tmp_path, capsys):
@@ -314,6 +362,27 @@ def test_analyze_bad_spec(tmp_path, capsys):
         "--out", str(tmp_path / "r.csv"),
     )
     assert code == 1
+
+    for spec in ("normal:abc", "normal:1_0", "normal:١٠"):
+        code, _, stderr = run(
+            capsys, "analyze", "--spec", spec, "--methods", "ls1",
+            "--out", str(tmp_path / "r.csv"),
+        )
+        assert code == 1
+        assert stderr == f"bitquant: bad element count in spec {spec!r}\n"
+
+    code, _, stderr = run(
+        capsys, "analyze", "--spec", "normal:10", "--methods", ",",
+        "--out", str(tmp_path / "r.csv"),
+    )
+    assert code == 1
+    assert stderr == "bitquant: --methods must name at least one method\n"
+
+    code, _, stderr = run(
+        capsys, "analyze", "--spec", "normal:10", "--methods", "ls1", "--seeds", "1_0",
+        "--out", str(tmp_path / "r.csv"),
+    )
+    assert code == 1 and "invalid _number value: '1_0'" in stderr
 
     code, _, stderr = run(
         capsys, "analyze", "--spec", "normal:10", "--methods", "greedy-x",
@@ -376,7 +445,7 @@ def test_curve_analytic_aliases(tmp_path, capsys):
 
 def test_curve_empirical(tmp_path, capsys):
     x_path = tmp_path / "x.fqt"
-    run(capsys, "gen", "--dist", "normal", "--n", "50000", "--seed", "2", "--out", str(x_path))
+    run(capsys, "gen", "--dist", "normal", "--shape", "50000", "--seed", "2", "--out", str(x_path))
     out = tmp_path / "curve.csv"
     code, stdout, _ = run(capsys, "curve", "--in", str(x_path), "--grid", "300", "--out", str(out))
     assert code == 0
@@ -386,13 +455,13 @@ def test_curve_empirical(tmp_path, capsys):
 
 def test_curve_usage_errors(tmp_path, capsys):
     x_path = tmp_path / "x.fqt"
-    run(capsys, "gen", "--dist", "normal", "--n", "10", "--out", str(x_path))
+    run(capsys, "gen", "--dist", "normal", "--shape", "10", "--out", str(x_path))
     out = str(tmp_path / "c.csv")
 
-    code, _, _ = run(capsys, "curve", "--grid", "10", "--out", out)
-    assert code == 1  # neither --in nor --dist
-    code, _, _ = run(capsys, "curve", "--in", str(x_path), "--dist", "normal", "--grid", "10", "--out", out)
-    assert code == 1  # both
+    code, _, stderr = run(capsys, "curve", "--grid", "10", "--out", out)
+    assert code == 1 and "one of the arguments --in --dist is required" in stderr
+    code, _, stderr = run(capsys, "curve", "--in", str(x_path), "--dist", "normal", "--grid", "10", "--out", out)
+    assert code == 1 and "not allowed with argument" in stderr
     code, _, _ = run(capsys, "curve", "--dist", "laplace", "--grid", "10", "--out", out)
     assert code == 1  # analytic curve only for normal
     code, _, _ = run(capsys, "curve", "--dist", "normal", "--grid", "1", "--out", out)
@@ -427,7 +496,7 @@ def test_energy_report(tmp_path, capsys):
 
 def test_energy_requires_matrix(tmp_path, capsys):
     x_path = tmp_path / "v.fqt"
-    run(capsys, "gen", "--dist", "normal", "--n", "100", "--out", str(x_path))
+    run(capsys, "gen", "--dist", "normal", "--shape", "100", "--out", str(x_path))
     code, _, _ = run(capsys, "energy", "--in", str(x_path), "--out", str(tmp_path / "e.json"))
     assert code == 2
 
@@ -512,7 +581,7 @@ def test_readme_cli_examples_parse():
 
 def test_unwritable_output_is_data_error(tmp_path, capsys):
     x_path = tmp_path / "x.fqt"
-    run(capsys, "gen", "--dist", "normal", "--n", "10", "--out", str(x_path))
+    run(capsys, "gen", "--dist", "normal", "--shape", "10", "--out", str(x_path))
     code, _, _ = run(
         capsys, "quantize", "--in", str(x_path), "--method", "ls1",
         "--out", str(tmp_path / "no" / "such" / "dir" / "q.bqt"),

@@ -119,6 +119,21 @@ def test_quantization_is_read_only():
         q.planes[0, 0] = -1
 
 
+def test_quantization_stores_its_own_copies():
+    # Neither the caller's buffer nor its levels array stays tied to the record.
+    buf = np.ones((3, 4), dtype=np.int8)
+    levels = np.array([2.0, 1.0])
+    q = ScaledBinaryQuantization(levels, buf[:2], "ls2")
+    buf[0, 0] = 7
+    levels[0] = 9.0
+    assert q.planes[0, 0] == 1 and q.levels[0] == 2.0
+
+
+def test_reconstruct_rejects_other_types():
+    with pytest.raises(TypeError, match="cannot reconstruct from object"):
+        reconstruct(object())
+
+
 def test_objective_length_mismatch():
     q = quantize_ls1([1.0, -2.0])
     with pytest.raises(ValueError):
@@ -755,6 +770,21 @@ def test_lloyd_validation():
             iterations=1,
             converged=True,
         )
+    def lloyd(codebook=(0.0, 1.0), thresholds=(0.5,), codes=(0, 1)):
+        return LloydQuantizer(
+            codebook=np.array(codebook), thresholds=np.array(thresholds),
+            codes=np.array(codes, dtype=np.int64), iterations=1, converged=True,
+        )
+
+    with pytest.raises(ValueError, match="at least two codewords"):
+        lloyd(codebook=(1.0,), thresholds=())
+    with pytest.raises(ValueError, match="one threshold between each codeword pair"):
+        lloyd(thresholds=(0.5, 0.7))
+    with pytest.raises(ValueError, match="codes must be a nonempty 1-D array"):
+        lloyd(codes=())
+    for codes in ((0, 2), (-1, 0)):
+        with pytest.raises(ValueError, match="codes must index the codebook"):
+            lloyd(codes=codes)
     # A codebook spanning more than the float64 maximum is still in order.
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -61,6 +61,8 @@ def test_factorization_validation():
         Rank1Factorization(sigma=1.0, u=e1, v=e1, signs=np.zeros((2, 2)))
     with pytest.raises(ValueError):
         Rank1Factorization(sigma=1.0, u=e1, v=e1, signs=np.ones((3, 2), dtype=np.int8))
+    with pytest.raises(ValueError, match="u and v must be vectors"):
+        Rank1Factorization(sigma=1.0, u=np.array([[1.0, 0.0]]), v=e1, signs=ones)
 
 
 def test_energy_profile_validation():
@@ -70,6 +72,8 @@ def test_energy_profile_validation():
         EnergyProfile(singular_energies=(1.0, 2.0), total=3.0, ratio_1=0.3, remainder=0.0)
     with pytest.raises(ValueError):
         EnergyProfile(singular_energies=(1.0,), total=1.0, ratio_1=1.5, remainder=0.0)
+    with pytest.raises(ValueError, match="singular energies must be nonnegative"):
+        EnergyProfile(singular_energies=(1.0, -0.5), total=1.0, ratio_1=1.0, remainder=0.0)
 
 
 # --- rank1_binary against the eigensolver oracle --------------------------

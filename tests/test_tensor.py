@@ -7,13 +7,20 @@ from hypothesis import strategies as st
 
 from bitquant import (
     DimensionOverflowError,
+    LloydQuantizer,
     MalformedHeaderError,
     NonFiniteValueError,
     SyntheticSpec,
     as_float_matrix,
     as_float_vector,
+    condition_curve,
     generate,
     load_tensor,
+    pack_quantization,
+    quantize_lloyd,
+    quantize_ls2,
+    quantized_dot,
+    rank1_binary,
     save_tensor,
 )
 
@@ -252,6 +259,11 @@ def test_csv_malformed(tmp_path):
     path.write_text("1.0,nan")
     with pytest.raises(NonFiniteValueError):
         load_tensor(path)
+    # float() alone reads '1_0' as 10 and Arabic-Indic digits as 12.
+    for text, token in (("1_0,3", "1_0"), ("3,١٢,4", "١٢"), ("1_0,١٢,3", "1_0")):
+        path.write_text(text)
+        with pytest.raises(MalformedHeaderError, match=f"bad numeric token '{token}'"):
+            load_tensor(path)
     path.write_bytes(b"\xff\xfe1\x00,\x002\x00")
     with pytest.raises(MalformedHeaderError, match="does not decode"):
         load_tensor(path)
@@ -260,3 +272,38 @@ def test_csv_malformed(tmp_path):
 def test_unknown_format_token(tmp_path):
     with pytest.raises(ValueError):
         save_tensor([1.0], tmp_path / "x.dat", fmt="hdf5")
+    with pytest.raises(ValueError, match="pass fmt='fqt' or 'csv'"):
+        save_tensor([1.0], tmp_path / "x.dat")
+
+
+# --- records ----------------------------------------------------------------
+
+
+_X = [generate(SyntheticSpec("normal", 200, seed)) for seed in (0, 1)]
+_RECORDS = {
+    "ls2": lambda x: quantize_ls2(x),
+    "lloyd": lambda x: quantize_lloyd(x, 2),
+    "packed": lambda x: pack_quantization(quantize_ls2(x)),
+    "dot": lambda x: quantized_dot(*[pack_quantization(quantize_ls2(x))] * 2),
+    "rank1": lambda x: rank1_binary(x.reshape(20, 10)),
+    # Magnitudes of at least 1 leave lower_mean NaN at the first thresholds.
+    "curve": lambda x: condition_curve(np.abs(x) + 1.0, 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_records_compare_by_value(name):
+    build = _RECORDS[name]
+    a, b, other = build(_X[0]), build(_X[0]), build(_X[1])
+    assert a == b and not a != b
+    assert a != other and not a == other
+    assert a != object()
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_record_equality_skips_the_lloyd_reseed_count():
+    lq = quantize_lloyd([0.0, 1.0, 2.0, 4.0, 5.0], 2)
+    arrays = [lq.codebook.copy(), lq.thresholds.copy(), lq.codes.copy()]
+    assert lq == LloydQuantizer(*arrays, lq.iterations, lq.converged, lq.reseeds + 1)
+    assert lq != LloydQuantizer(*arrays, lq.iterations + 1, lq.converged, lq.reseeds)
