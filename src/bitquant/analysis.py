@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -174,13 +175,18 @@ def _finite(v):
     return v
 
 
-def emit_report(report: SweepReport, path, fmt: str = "csv") -> None:
+def emit_report(report: SweepReport, path, fmt: str | None = None) -> None:
     """Write a sweep report to ``path`` as CSV or JSON.
+
+    Without ``fmt`` the report is JSON when the name of ``path`` ends in
+    ``.json``, in any case, and CSV otherwise.
 
     Floats are rendered with %.17g, so a written value parses back to the
     same double.  The levels column joins values with semicolons, and CSV
     fields that hold a comma, such as ``lognormal(0,1)``, are quoted.
     """
+    if fmt is None:
+        fmt = "json" if str(path).lower().endswith(".json") else "csv"
     token = fmt.lower()
     if token == "csv":
         with open(path, "w", newline="") as fh:
@@ -229,6 +235,10 @@ class ConditionCurve(_Record):
     intersections: tuple
     optimum: float
 
+    def __post_init__(self):
+        for name in ("v", "lower_mean", "upper_mean", "average"):
+            self._own(name, np.float64)
+
 
 def _refine_and_collect(vs, d) -> list[float]:
     """Roots of a continuous ``d`` on the grid ``vs``: grid points where it
@@ -269,8 +279,6 @@ def _condition_curve(vs, lower, upper, found, e: int = 0) -> ConditionCurve:
     """
     average = 0.5 * (np.nan_to_num(lower) + upper)
     arrays = [_from_unit(arr, e) for arr in (vs, lower, upper, average)]
-    for arr in arrays:
-        arr.setflags(write=False)
     optimum = min(found, key=lambda s: (s.objective, s.v)).v if found else math.nan
     intersections = tuple(
         Intersection(v=float(_from_unit(s.v, e)), objective=float(_from_unit(s.objective, e, 2)))
@@ -289,6 +297,7 @@ def condition_curve(x, grid: int) -> ConditionCurve:
     The curve is built on the unit scale of the magnitudes, so it is
     exactly equivariant under power-of-two scaling of x.
     """
+    grid = operator.index(grid)
     x = as_float_vector(x)
     if grid < 2:
         raise ValueError("grid must be at least 2")
@@ -346,6 +355,7 @@ def normal_split_mse(v1: float, v2: float) -> float:
 def normal_condition_curve(grid: int) -> ConditionCurve:
     """Closed-form condition curve for the standard normal population over
     ``grid`` thresholds in (0, 4]."""
+    grid = operator.index(grid)
     if grid < 2:
         raise ValueError("grid must be at least 2")
     vs = np.linspace(0.0, 4.0, grid + 1)[1:]

@@ -74,8 +74,8 @@ class PackedQuantizedVector(_Record):
     n: int
 
     def __post_init__(self):
-        levels = np.array(self.levels, dtype=np.float64, order="C")
-        words = np.array(self.words, dtype=np.uint64, order="C")
+        levels = self._own("levels", np.float64)
+        words = self._own("words", np.uint64)
         n = operator.index(self.n)
         if n < 1:
             raise ValueError("a packed vector needs at least one element")
@@ -90,10 +90,6 @@ class PackedQuantizedVector(_Record):
             raise ValueError("levels must be finite and nonnegative")
         if (words[:, -1] & ~_tail_mask(n)).any():
             raise ValueError("padding bits beyond n must be zero")
-        levels.setflags(write=False)
-        words.setflags(write=False)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "words", words)
         object.__setattr__(self, "n", n)
 
     @property
@@ -159,9 +155,7 @@ class QuantizedDotResult(_Record):
     cross_terms: np.ndarray
 
     def __post_init__(self):
-        cross_terms = np.array(self.cross_terms, dtype=np.int64, order="C")
-        cross_terms.setflags(write=False)
-        object.__setattr__(self, "cross_terms", cross_terms)
+        self._own("cross_terms", np.int64)
 
 
 def quantized_dot(a: PackedQuantizedVector, b: PackedQuantizedVector) -> QuantizedDotResult:

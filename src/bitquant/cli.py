@@ -151,7 +151,7 @@ def cmd_analyze(args) -> int:
     report = run_sweep(specs, methods)
     for failure in report.failures:
         print(f"row failed: {failure}", file=sys.stderr)
-    emit_report(report, args.out, "json" if args.out.lower().endswith(".json") else "csv")
+    emit_report(report, args.out)
     _emit({"rows": len(report.rows), "failures": len(report.failures), "out": args.out})
     return 0
 

@@ -37,6 +37,7 @@ Conventions used throughout (and relied on by exact tests):
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +69,7 @@ class ScaledBinaryQuantization(_Record):
     method: str
 
     def __post_init__(self):
-        levels = np.array(self.levels, dtype=np.float64, order="C")
+        levels = self._own("levels", np.float64)
         planes = np.asarray(self.planes)
         if levels.ndim != 1 or levels.size < 1:
             raise ValueError("levels must be a nonempty 1-D array")
@@ -76,10 +77,10 @@ class ScaledBinaryQuantization(_Record):
             raise ValueError("levels must be finite and nonnegative")
         if planes.ndim != 2 or planes.shape[0] != levels.size or planes.shape[1] < 1:
             raise ValueError("planes must have shape (len(levels), n)")
-        # Checked before the int8 cast, which would truncate 1.5 to 1.
+        # Checked before the int8 cast, so 1.5 is reported against this rule.
         if not (np.abs(planes) == 1).all():
             raise ValueError("plane entries must be +1 or -1")
-        planes = np.array(planes, dtype=np.int8, order="C")
+        self._own("planes", np.int8)
         if self.method not in _FAMILIES:
             raise ValueError(f"unknown method {self.method!r}")
         # Greedy keeps its levels in generation order, which residual
@@ -89,10 +90,6 @@ class ScaledBinaryQuantization(_Record):
         if self.method == "ternary":
             if levels.size != 2 or levels[0] != levels[1]:
                 raise ValueError("ternary requires two equal levels")
-        levels.setflags(write=False)
-        planes.setflags(write=False)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "planes", planes)
 
     @property
     def k(self) -> int:
@@ -123,9 +120,9 @@ class LloydQuantizer(_Record):
     reseeds: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        codebook = np.array(self.codebook, dtype=np.float64, order="C")
-        thresholds = np.array(self.thresholds, dtype=np.float64, order="C")
-        codes = np.array(self.codes, dtype=np.int64, order="C")
+        codebook = self._own("codebook", np.float64)
+        thresholds = self._own("thresholds", np.float64)
+        codes = self._own("codes", np.int64)
         if codebook.ndim != 1 or codebook.size < 2:
             raise ValueError("codebook must hold at least two codewords")
         if not np.isfinite(codebook).all():
@@ -140,11 +137,6 @@ class LloydQuantizer(_Record):
             raise ValueError("codes must be a nonempty 1-D array")
         if (codes < 0).any() or (codes >= codebook.size).any():
             raise ValueError("codes must index the codebook")
-        for arr in (codebook, thresholds, codes):
-            arr.setflags(write=False)
-        object.__setattr__(self, "codebook", codebook)
-        object.__setattr__(self, "thresholds", thresholds)
-        object.__setattr__(self, "codes", codes)
 
     @property
     def n(self) -> int:
@@ -258,6 +250,7 @@ def quantize_greedy(x, k: int) -> ScaledBinaryQuantization:
 
 def _greedy(x, k: int, method: str) -> ScaledBinaryQuantization:
     """The greedy fit of k planes, tagged ``method``."""
+    k = operator.index(k)
     x = as_float_vector(x)
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -479,6 +472,7 @@ def quantize_lloyd(x, k: int) -> LloydQuantizer:
     codebook and thresholds back, so it is exactly equivariant under
     power-of-two scaling of x up to the float64 maximum.
     """
+    k = operator.index(k)
     x = as_float_vector(x)
     if not 1 <= k <= 16:
         raise ValueError("k must be between 1 and 16")

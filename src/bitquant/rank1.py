@@ -24,6 +24,7 @@ its mean magnitude): the same triple, taken along the uniform right vector.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +52,9 @@ class Rank1Factorization(_Record):
     signs: np.ndarray
 
     def __post_init__(self):
-        u = np.array(self.u, dtype=np.float64, order="C")
-        v = np.array(self.v, dtype=np.float64, order="C")
-        signs = np.array(self.signs, dtype=np.int8, order="C")
+        u = self._own("u", np.float64)
+        v = self._own("v", np.float64)
+        signs = self._own("signs", np.int8)
         if self.sigma < 0 or not np.isfinite(self.sigma):
             raise ValueError("sigma must be finite and nonnegative")
         if u.ndim != 1 or v.ndim != 1:
@@ -68,11 +69,6 @@ class Rank1Factorization(_Record):
             raise ValueError("signs shape must match the outer product of u and v")
         if not np.all(np.abs(signs) == 1):
             raise ValueError("sign entries must be +1 or -1")
-        for arr in (u, v, signs):
-            arr.setflags(write=False)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "signs", signs)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -206,6 +202,7 @@ def energy_profile(x, top_r: int) -> EnergyProfile:
     computed on the unit scale of |X|, as in :func:`rank1_binary`, and
     mapped back, so they underflow or overflow only where the true values do.
     """
+    top_r = operator.index(top_r)
     _, mags, e = _unit_magnitudes(x)
     m, n = mags.shape
     if not 1 <= top_r <= min(m, n):

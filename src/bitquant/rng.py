@@ -20,6 +20,8 @@ consecutive pairs of uniforms.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -44,11 +46,12 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
-        self._seed = np.uint64(int(seed) & _U64_MASK)
+        self._seed = np.uint64(operator.index(seed) & _U64_MASK)
         self._pos = 0
 
     def words(self, count: int) -> np.ndarray:
         """Next ``count`` raw 64-bit words as a uint64 array."""
+        count = operator.index(count)
         if count < 0:
             raise ValueError("count must be nonnegative")
         start = self._pos

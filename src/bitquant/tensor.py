@@ -20,6 +20,7 @@ declarations that do not match the available bytes.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -40,11 +41,25 @@ _MAX_ELEMENTS = 1 << 40
 
 
 class _Record:
-    """Value equality for the frozen dataclasses that hold arrays.
+    """Array ownership and value equality for the frozen dataclasses that
+    hold arrays.
 
     Arrays and floats compare with ``np.array_equal(..., equal_nan=True)``,
     other fields with ``==``; ``compare=False`` fields are skipped.
     """
+
+    def _own(self, name: str, dtype) -> np.ndarray:
+        """Store field ``name`` as a read-only C-ordered ``dtype`` copy and
+        return it.  A cast that changes a value as ``np.array_equal`` sees
+        it, such as 1.5 or -1 to uint64, raises ValueError; values already
+        of ``dtype`` are copied without that check."""
+        value = np.asarray(getattr(self, name))
+        arr = np.array(value, dtype=dtype, order="C")
+        if value.dtype != arr.dtype and not np.array_equal(arr, value, equal_nan=True):
+            raise ValueError(f"{name} must hold {arr.dtype} values")
+        arr.setflags(write=False)
+        object.__setattr__(self, name, arr)
+        return arr
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -110,6 +125,8 @@ class SyntheticSpec:
                 f"unknown distribution {self.distribution!r}; "
                 f"expected one of {sorted(_DISTRIBUTIONS)}"
             )
+        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "seed", operator.index(self.seed))
         arity = _DISTRIBUTIONS[self.distribution]
         params = tuple(float(p) for p in self.params)
         object.__setattr__(self, "params", params)
@@ -137,26 +154,32 @@ class SyntheticSpec:
 
 
 def generate(spec: SyntheticSpec) -> np.ndarray:
-    """Draw the vector described by ``spec``; a pure function of the spec."""
+    """Draw the vector described by ``spec``; a pure function of the spec.
+
+    A spec whose draw overflows the float64 range, such as
+    ``uniform(-1e308,1e308)``, raises ValueError.
+    """
     rng = SplitMix64(spec.seed)
     n = spec.n
-    if spec.distribution == "normal":
-        return rng.normal(n)
-    if spec.distribution == "uniform":
-        a, b = spec.params
-        return a + (b - a) * rng.uniform_open01(n)
-    if spec.distribution == "laplace":
-        (scale,) = spec.params
-        u = rng.uniform_open01(n)
-        # Inverse CDF; u is strictly inside (0, 1) so the log argument is
-        # in (0, 1] and the result is finite.
-        return -scale * np.where(u < 0.5, -1.0, 1.0) * np.log1p(-2.0 * np.abs(u - 0.5))
-    if spec.distribution == "lognormal":
-        mu, sigma = spec.params
-        z = rng.normal(n)
-        magnitudes = np.exp(mu + sigma * z)
-        return magnitudes * rng.signs(n)
-    raise AssertionError("unreachable: spec validated at construction")
+    with np.errstate(over="ignore"):
+        if spec.distribution == "normal":
+            out = rng.normal(n)
+        elif spec.distribution == "uniform":
+            a, b = spec.params
+            out = a + (b - a) * rng.uniform_open01(n)
+        elif spec.distribution == "laplace":
+            (scale,) = spec.params
+            u = rng.uniform_open01(n)
+            # Inverse CDF; u is strictly inside (0, 1) so the log argument
+            # is in (0, 1] and the logarithm is finite.
+            out = -scale * np.where(u < 0.5, -1.0, 1.0) * np.log1p(-2.0 * np.abs(u - 0.5))
+        else:
+            mu, sigma = spec.params
+            z = rng.normal(n)
+            out = np.exp(mu + sigma * z) * rng.signs(n)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{spec.label()} draws values beyond the float64 range")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +285,11 @@ def _load_csv(path) -> np.ndarray:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise MalformedHeaderError(f"{path}: CSV text does not decode: {exc}") from exc
-    tokens = [t.strip() for t in text.replace("\n", ",").split(",")]
-    tokens = [t for t in tokens if t]
-    if not tokens:
+    body = text.strip()
+    if not body:
         raise MalformedHeaderError(f"{path}: empty CSV")
+    # An empty field, as in 1,,2, stays a token and fails to parse.
+    tokens = [t.strip() for t in body.replace("\n", ",").split(",")]
     values = np.empty(len(tokens), dtype=np.float64)
     # float() alone reads 1_0 and non-ASCII digits; one pass over the text
     # rules both out, and only a text that fails it is checked token by token.

@@ -168,6 +168,18 @@ def test_emit_report_json_round_trip(tmp_path):
     assert payload["rows"][0]["mse"] == report.rows[0].mse
 
 
+def test_emit_report_picks_its_format_from_the_name(tmp_path):
+    report = run_sweep(small_specs(), ["ls1"])
+    for name in ("r.json", "R.JSON"):
+        emit_report(report, tmp_path / name)
+        assert len(json.loads((tmp_path / name).read_text())["rows"]) == 2
+    emit_report(report, str(tmp_path / "r.csv"))
+    assert (tmp_path / "r.csv").read_text().startswith("method,k,")
+    # An explicit format wins over the name.
+    emit_report(report, tmp_path / "csv.json", fmt="csv")
+    assert (tmp_path / "csv.json").read_text().startswith("method,k,")
+
+
 def test_emit_report_json_writes_non_finite_as_null(tmp_path):
     from dataclasses import replace
 

@@ -95,6 +95,11 @@ _GEN_USAGE_ERRORS = [
     (("--dist", "laplace(x)", "--shape", "10"), "bad parameter in distribution 'laplace(x)'"),
     (("--dist", "laplace(1_0)", "--shape", "10"), "bad parameter in distribution"),
     (("--dist", "laplace(١)", "--shape", "10"), "bad parameter in distribution"),
+    # Finite parameters whose draw overflows the float64 range.
+    (
+        ("--dist", "uniform(-1e308,1e308)", "--shape", "4"),
+        "bitquant: uniform(-1e+308,1e+308) draws values beyond the float64 range\n",
+    ),
 ]
 
 
@@ -403,6 +408,13 @@ def test_analyze_bad_spec(tmp_path, capsys):
         "--out", str(tmp_path / "r.csv"),
     )
     assert code == 1 and "unrecognized arguments: --bits 3" in stderr
+
+    code, _, stderr = run(
+        capsys, "analyze", "--spec", "laplace(1e308):4", "--methods", "ls1",
+        "--out", str(tmp_path / "r.csv"),
+    )
+    assert code == 1
+    assert stderr == "bitquant: laplace(1e+308) draws values beyond the float64 range\n"
 
     out = tmp_path / "seeds.csv"
     for seeds in ("0", "-2"):

@@ -74,3 +74,10 @@ def test_zero_count_requests():
 def test_negative_count_rejected():
     with pytest.raises(ValueError):
         SplitMix64(0).words(-1)
+
+
+def test_a_refused_count_leaves_the_stream_in_place():
+    rng = SplitMix64(0)
+    with pytest.raises(TypeError):
+        rng.words(2.5)
+    assert np.array_equal(rng.words(3), SplitMix64(0).words(3))

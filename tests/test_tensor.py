@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -6,17 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitquant import (
+    ConditionCurve,
     DimensionOverflowError,
     LloydQuantizer,
     MalformedHeaderError,
     NonFiniteValueError,
+    PackedQuantizedVector,
+    QuantizedDotResult,
+    Rank1Factorization,
+    ScaledBinaryQuantization,
+    SplitMix64,
     SyntheticSpec,
     as_float_matrix,
     as_float_vector,
     condition_curve,
+    energy_profile,
     generate,
     load_tensor,
+    normal_condition_curve,
     pack_quantization,
+    quantize_greedy,
     quantize_lloyd,
     quantize_ls2,
     quantized_dot,
@@ -102,6 +112,49 @@ def test_generate_laplace_moments():
     x = generate(SyntheticSpec("laplace", 200_000, 2, (1.0,)))
     assert abs(float(np.mean(np.abs(x))) - 1.0) < 0.01
     assert abs(float(np.mean(x))) < 0.02
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SyntheticSpec("uniform", 4, 0, (-1e308, 1e308)),
+        SyntheticSpec("laplace", 4, 0, (1e308,)),
+        SyntheticSpec("lognormal", 4, 0, (800.0, 1.0)),
+    ],
+    ids=lambda spec: spec.label(),
+)
+def test_generate_rejects_a_draw_beyond_float64(spec):
+    # Every parameter is finite; the drawn values overflow, with no warning.
+    with pytest.raises(ValueError, match=rf"^{re.escape(spec.label())} draws values beyond"):
+        generate(spec)
+
+
+# The data and the grid below are invalid as well: a non-integer count is
+# refused first, before any work on them.
+_nan = np.full((2, 4), np.nan)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: quantize_lloyd(_nan[0], 2.5),
+        lambda: quantize_greedy(_nan[0], 2.5),
+        lambda: condition_curve(_nan[0], 2.5),
+        lambda: normal_condition_curve(1.5),
+        lambda: energy_profile(_nan, 1.5),
+        lambda: SyntheticSpec("normal", 8, 1.5),
+        lambda: SyntheticSpec("normal", 10.5, 0),
+        lambda: SplitMix64(1.5),
+        lambda: SplitMix64(0).words(2.5),
+    ],
+    ids=[
+        "lloyd-k", "greedy-k", "curve-grid", "normal-curve-grid", "energy-top_r",
+        "spec-seed", "spec-n", "rng-seed", "rng-count",
+    ],
+)
+def test_integer_arguments_refuse_other_numbers(call):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
 
 
 def test_generate_lognormal_has_both_signs():
@@ -241,6 +294,8 @@ def test_csv_accepts_newline_separated(tmp_path):
     path = tmp_path / "v.csv"
     path.write_text("1.5\n2.5\n-3\n")
     assert np.array_equal(load_tensor(path), [1.5, 2.5, -3.0])
+    path.write_text("  1.5 , 2.5\r\n-3\n\n")
+    assert np.array_equal(load_tensor(path), [1.5, 2.5, -3.0])
 
 
 def test_csv_rejects_matrix(tmp_path):
@@ -264,6 +319,14 @@ def test_csv_malformed(tmp_path):
         path.write_text(text)
         with pytest.raises(MalformedHeaderError, match=f"bad numeric token '{token}'"):
             load_tensor(path)
+    # An empty field is a missing value, not a shorter vector.
+    for text in ("1,,2", "1, ,2", "1,2,", ",1", "1\n\n2"):
+        path.write_text(text)
+        with pytest.raises(MalformedHeaderError, match="bad numeric token ''"):
+            load_tensor(path)
+    path.write_text(" \n ")
+    with pytest.raises(MalformedHeaderError, match="empty CSV"):
+        load_tensor(path)
     path.write_bytes(b"\xff\xfe1\x00,\x002\x00")
     with pytest.raises(MalformedHeaderError, match="does not decode"):
         load_tensor(path)
@@ -307,3 +370,69 @@ def test_record_equality_skips_the_lloyd_reseed_count():
     arrays = [lq.codebook.copy(), lq.thresholds.copy(), lq.codes.copy()]
     assert lq == LloydQuantizer(*arrays, lq.iterations, lq.converged, lq.reseeds + 1)
     assert lq != LloydQuantizer(*arrays, lq.iterations + 1, lq.converged, lq.reseeds)
+
+
+# Each record type with caller buffers for its array fields, its other
+# arguments, and inputs whose cast to the stored dtype would change a value,
+# as (field named in the error, arguments replaced).
+_OWNERS = {
+    "ScaledBinaryQuantization": (
+        ScaledBinaryQuantization,
+        {"levels": [2.0, 1.0], "planes": np.array([[1, -1, 1], [1, 1, -1]], dtype=np.int8)},
+        {"method": "ls2"},
+        [],
+    ),
+    "LloydQuantizer": (
+        LloydQuantizer,
+        {"codebook": [-1.0, 1.0], "thresholds": [0.0], "codes": [0, 1, 1]},
+        {"iterations": 1, "converged": True},
+        [("codes", {"codes": [0.7, 1.2]})],
+    ),
+    "PackedQuantizedVector": (
+        PackedQuantizedVector,
+        {"levels": [1.0], "words": np.array([[0b101]], dtype=np.uint64)},
+        {"n": 3},
+        [
+            ("words", {"words": [[1.9]], "n": 1}),
+            ("words", {"words": np.array([[-1]], dtype=np.int64), "n": 64}),
+        ],
+    ),
+    "QuantizedDotResult": (
+        QuantizedDotResult,
+        {"cross_terms": [[3, -1]]},
+        {"value": 2.0},
+        [("cross_terms", {"cross_terms": [[1.5]]})],
+    ),
+    "Rank1Factorization": (
+        Rank1Factorization,
+        {"u": [1.0], "v": [0.6, 0.8], "signs": np.array([[1, -1]], dtype=np.int8)},
+        {"sigma": 1.0},
+        [
+            ("signs", {"signs": [[1.5, 1.0]]}),
+            ("signs", {"signs": np.array([[257, 1]], dtype=np.int64)}),
+        ],
+    ),
+    "ConditionCurve": (
+        ConditionCurve,
+        {"v": [0.5, 1.0], "lower_mean": [np.nan, 0.5], "upper_mean": [1.0, 1.5], "average": [0.5, 1.0]},
+        {"intersections": (), "optimum": np.nan},
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OWNERS))
+def test_records_own_read_only_copies(name):
+    cls, arrays, others, lossy = _OWNERS[name]
+    buffers = {field: np.array(value) for field, value in arrays.items()}
+    record = cls(**buffers, **others)
+    for field, buf in buffers.items():
+        buf.flat[0] = 7
+        stored = getattr(record, field)
+        assert np.array_equal(stored, arrays[field], equal_nan=True), field
+        assert not stored.flags.writeable, field
+        with pytest.raises(ValueError):
+            stored.flat[0] = 0
+    for field, replaced in lossy:
+        with pytest.raises(ValueError, match=f"^{field} must hold "):
+            cls(**{**arrays, **others, **replaced})
