@@ -28,8 +28,11 @@ from .quantizers import (
     _FAMILIES,
     LloydQuantizer,
     _from_unit,
+    _is_fixed_point,
     _split_mse,
+    _threshold,
     _to_unit,
+    _two_bit_levels,
     objective,
     reconstruct,
 )
@@ -277,7 +280,7 @@ def _condition_curve(vs, lower, upper, found, e: int = 0) -> ConditionCurve:
     of exponent e: the optimum is chosen on those objectives, and the curve
     maps thresholds, means and objectives back.
     """
-    average = 0.5 * (np.nan_to_num(lower) + upper)
+    average = _threshold(np.nan_to_num(lower), upper)
     arrays = [_from_unit(arr, e) for arr in (vs, lower, upper, average)]
     optimum = min(found, key=lambda s: (s.objective, s.v)).v if found else math.nan
     intersections = tuple(
@@ -291,9 +294,9 @@ def condition_curve(x, grid: int) -> ConditionCurve:
     """Empirical condition curve of a sample over ``grid`` interior
     thresholds strictly between 0 and max |x|.
 
-    With t sorted magnitudes a at or below v, the average is the constant
-    level_t = (P_t / t + S_t / (n - t)) / 2 on [a[t-1], a[t]), so v = level_t
-    is an intersection exactly when a[t-1] <= level_t < a[t].
+    With t sorted magnitudes a at or below v, the average is the two-bit
+    threshold of the cut t on [a[t-1], a[t]), so the intersections are
+    exactly the cuts that are fixed points.
     The curve is built on the unit scale of the magnitudes, so it is
     exactly equivariant under power-of-two scaling of x.
     """
@@ -310,11 +313,11 @@ def condition_curve(x, grid: int) -> ConditionCurve:
     t = np.arange(n, dtype=np.float64)
     lower = np.concatenate(([0.0], np.cumsum(mags[:-1]))) / np.maximum(t, 1)
     upper = np.cumsum(mags[::-1])[::-1] / (n - t)
-    level = 0.5 * (lower + upper)
     below = np.concatenate(([0.0], mags[:-1]))
+    cuts = np.flatnonzero(_is_fixed_point(below, _threshold(lower, upper), mags))
     found = [
-        Intersection(float(level[c]), _split_mse(mags, level[c], 0.5 * (upper[c] - lower[c])))
-        for c in np.nonzero((below <= level) & (level < mags))[0]
+        Intersection(float(v1), _split_mse(mags, v1, v2))
+        for v1, v2 in zip(*_two_bit_levels(lower[cuts], upper[cuts]))
     ]
     vs = np.linspace(0.0, float(mags[-1]), grid + 2)[1:-1]
     i = np.searchsorted(mags, vs, side="right")
@@ -332,24 +335,40 @@ def _normal_moments(v: float):
     return m0_lo, m1_lo, m0_lo - 2.0 * v * phi, m0_hi, m1_hi, m0_hi + 2.0 * v * phi
 
 
-def _normal_means(v: float) -> tuple[float, float]:
-    """Means of |X|, X standard normal, at or below v and above v; the
-    lower one is 0 where that group has no mass, at v = 0."""
-    m0_lo, m1_lo, _, m0_hi, m1_hi, _ = _normal_moments(v)
+def _population_means(moments, v: float) -> tuple[float, float]:
+    """Means of |X| at or below v and above v from ``moments(v)``, laid out
+    as :func:`_normal_moments`; the lower one is 0 where it has no mass."""
+    m0_lo, m1_lo, _, m0_hi, m1_hi, _ = moments(v)
     # Far tail: the upper conditional mean approaches v itself.
     return m1_lo / m0_lo if m0_lo > 0.0 else 0.0, m1_hi / m0_hi if m0_hi > 0.0 else v
 
 
-def normal_split_mse(v1: float, v2: float) -> float:
+def _population_mse(moments, v1: float, v2: float) -> float:
     """Population mean squared error of the reconstruction levels
-    {v1 - v2, v1 + v2} applied to |X|, X standard normal, split at v1."""
-    m0_lo, m1_lo, m2_lo, m0_hi, m1_hi, m2_hi = _normal_moments(v1)
-    lo = v1 - v2
-    hi = v1 + v2
+    {v1 - v2, v1 + v2} applied to |X| split at v1, from ``moments(v1)``."""
+    m0_lo, m1_lo, m2_lo, m0_hi, m1_hi, m2_hi = moments(v1)
+    lo, hi = v1 - v2, v1 + v2
     return (
         m2_lo - 2.0 * lo * m1_lo + lo * lo * m0_lo
         + m2_hi - 2.0 * hi * m1_hi + hi * hi * m0_hi
     )
+
+
+def _population_curve(moments, vs) -> ConditionCurve:
+    """Condition curve over ``vs`` of a population with the conditional
+    ``moments(v)`` of |X|; intersections are sign changes refined by bisection."""
+    roots = _refine_and_collect(vs, lambda v: _threshold(*_population_means(moments, v)) - v)
+    found = [
+        Intersection(v, _population_mse(moments, *_two_bit_levels(*_population_means(moments, v))))
+        for v in roots
+    ]
+    means = np.array([_population_means(moments, v) for v in vs])
+    return _condition_curve(vs, *means.T, found)
+
+
+def normal_split_mse(v1: float, v2: float) -> float:
+    """Population mse of the levels {v1 -+ v2} on |X|, X standard normal, split at v1."""
+    return _population_mse(_normal_moments, v1, v2)
 
 
 def normal_condition_curve(grid: int) -> ConditionCurve:
@@ -358,13 +377,4 @@ def normal_condition_curve(grid: int) -> ConditionCurve:
     grid = operator.index(grid)
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    vs = np.linspace(0.0, 4.0, grid + 1)[1:]
-    means = np.array([_normal_means(v) for v in vs])
-
-    def levels(v: float) -> tuple[float, float]:
-        lo, hi = _normal_means(v)
-        return 0.5 * (lo + hi), 0.5 * (hi - lo)
-
-    roots = _refine_and_collect(vs, lambda v: levels(v)[0] - v)
-    found = [Intersection(v, normal_split_mse(*levels(v))) for v in roots]
-    return _condition_curve(vs, *means.T, found)
+    return _population_curve(_normal_moments, np.linspace(0.0, 4.0, grid + 1)[1:])

@@ -352,6 +352,22 @@ def _ternary_gain(mags, suffix, upper):
     return gain
 
 
+def _threshold(m_lo, m_hi):
+    """v1 = (m_lo + m_hi) / 2, the first of :func:`_two_bit_levels`."""
+    return 0.5 * (m_lo + m_hi)
+
+
+def _two_bit_levels(m_lo, m_hi):
+    """The two-bit levels ``(v1, v2)`` that reconstruct group means m_lo, m_hi."""
+    return _threshold(m_lo, m_hi), 0.5 * (m_hi - m_lo)
+
+
+def _is_fixed_point(below, level, above):
+    """The test a[t-1] <= level < a[t] of cut t of the sorted magnitudes a,
+    elementwise; pass ``below`` = 0 at t = 0, which no level fails."""
+    return (below <= level) & (level < above)
+
+
 def _fixed_points(mags: np.ndarray, gain, in_runs, with_lower: bool):
     """Exactly self-consistent ``(v1, v2)`` levels among the run-boundary
     cut with the largest screening gain and its neighbouring boundary cuts.
@@ -369,9 +385,9 @@ def _fixed_points(mags: np.ndarray, gain, in_runs, with_lower: bool):
     for ti in cuts:
         m_lo = _mean(mags[:ti], mags[-1]) if with_lower and ti > 0 else 0.0
         m_hi = _mean(mags[ti:], mags[-1])
-        v1, v2 = 0.5 * (m_lo + m_hi), 0.5 * (m_hi - m_lo)
+        v1, v2 = _two_bit_levels(m_lo, m_hi)
         # Rounded slice means of a cluster a few ulps wide can give v2 < 0.
-        if (ti == 0 or mags[ti - 1] <= v1) and v1 < mags[ti] and v2 >= 0:
+        if _is_fixed_point(mags[ti - 1] if ti else 0.0, v1, mags[ti]) and v2 >= 0:
             accepted.append((v1, v2))
     return accepted
 
@@ -597,14 +613,12 @@ def lloyd_to_scaled_binary(lq: LloydQuantizer) -> ScaledBinaryQuantization:
     k = int(np.log2(n_codes))
     if 2**k != n_codes:
         raise ValueError("codebook size must be a power of two")
-    indices = np.arange(n_codes)
-    digits = (indices[:, None] >> np.arange(k)[None, :]) & 1
-    design = (2.0 * digits - 1.0).astype(np.float64)
+    bits = (2 * ((np.arange(n_codes)[:, None] >> np.arange(k)) & 1) - 1).astype(np.int8)
     weights = np.sqrt(np.bincount(lq.codes, minlength=n_codes).astype(np.float64))
     codebook, e = _to_unit(lq.codebook.copy())
-    levels, *_ = np.linalg.lstsq(design * weights[:, None], codebook * weights, rcond=None)
+    levels, *_ = np.linalg.lstsq(bits * weights[:, None], codebook * weights, rcond=None)
     levels = _from_unit(levels, e)
-    planes = (2 * ((lq.codes[None, :] >> np.arange(k)[:, None]) & 1) - 1).astype(np.int8)
+    planes = bits.T[:, lq.codes]
     negative = levels < 0
     levels = np.abs(levels)
     planes[negative] *= -1

@@ -8,12 +8,10 @@ conditions used by the two-bit and ternary solvers,
     two-bit:  v = (E[|X| given |X| <= v] + E[|X| given |X| > v]) / 2
     ternary:  v =  E[|X| given |X| > v] / 2
 
-using closed-form conditional means (error functions for the normal, taken
-from ``bitquant.analysis``; memoryless exponential tails for the Laplace).
-These curves are continuous, so the analytic condition curve's root finder
-(sign changes on a grid over (0, 8], refined by bisection) finds the roots.
-Each root is scored by the population mean squared error of the induced
-reconstruction so the global optimum is identified.  Run
+from closed-form conditional moments of |X|: error functions for the normal,
+taken from ``bitquant.analysis``, and memoryless exponential tails for the
+Laplace.  The library's population curve finds the roots and scores each by
+its population mean squared error.  Run
 
     PYTHONPATH=src python3 tools/population_roots.py
 
@@ -25,61 +23,37 @@ import math
 
 import numpy as np
 
-from bitquant.analysis import _normal_means, _refine_and_collect, normal_split_mse
+from bitquant import analysis
 
-# --- laplace, scale 1 (|X| is Exponential(1)) ------------------------------
-
-
-def laplace_means(v):
-    """Means of |X| at or below v and above v; the upper tail is memoryless."""
-    mass = -math.expm1(-v)
-    lower = (mass - v * math.exp(-v)) / mass if mass > 0.0 else 0.0
-    return lower, v + 1.0
-
-
-def laplace_mse(v1, v2):
-    e = math.exp(-v1)
-    m0l = 1.0 - e
-    m1l = m0l - v1 * e
-    m2l = 2.0 - e * (v1 * v1 + 2.0 * v1 + 2.0)
-    m0h = e
-    m1h = (v1 + 1.0) * e
-    m2h = e * (v1 * v1 + 2.0 * v1 + 2.0)
-    lo, hi = v1 - v2, v1 + v2
-    return (m2l - 2 * lo * m1l + lo * lo * m0l) + (m2h - 2 * hi * m1h + hi * hi * m0h)
-
-
-# --- root finding ----------------------------------------------------------
+def laplace_moments(v):
+    """Mass, first and second moment of |X|, X Laplace(1), at or below v and
+    above v: |X| is Exponential(1), so E[|X|^2] = 2."""
+    e = math.exp(-v)
+    m0_lo = -math.expm1(-v)
+    m2_hi = e * (v * v + 2.0 * v + 2.0)
+    return m0_lo, m0_lo - v * e, 2.0 - m2_hi, e, (v + 1.0) * e, m2_hi
 
 
 GRID = np.arange(1, 16001) * 8.0 / 16000
 
 
-def report(name, means, mse):
+def report(name, moments):
     print(f"== {name} ==")
-
-    def g2(v):
-        lower, upper = means(v)
-        return 0.5 * (lower + upper) - v
-
-    best = None
-    for v1 in _refine_and_collect(GRID, g2):
-        lower, upper = means(v1)
-        v2 = 0.5 * (upper - lower)
-        e = mse(v1, v2)
-        print(f"  two-bit root: v1={v1:.12f} v2={v2:.12f} mse={e:.12f}")
-        if best is None or e < best[0]:
-            best = (e, v1, v2)
-    e, v1, v2 = best
-    print(f"  two-bit GLOBAL: v1={v1:.12f} v2={v2:.12f} mse={e:.12f}")
+    curve = analysis._population_curve(moments, GRID)
+    lines = {}
+    for s in curve.intersections:
+        v2 = analysis._two_bit_levels(*analysis._population_means(moments, s.v))[1]
+        lines[s.v] = f"v1={s.v:.12f} v2={v2:.12f} mse={s.objective:.12f}"
+        print(f"  two-bit root: {lines[s.v]}")
+    print(f"  two-bit GLOBAL: {lines[curve.optimum]}")
 
     def gt(v):
-        return 0.5 * means(v)[1] - v
+        return analysis._threshold(0.0, analysis._population_means(moments, v)[1]) - v
 
-    for v in _refine_and_collect(GRID, gt):
-        print(f"  ternary root: v={v:.12f} mse={mse(v, v):.12f}")
+    for v in analysis._refine_and_collect(GRID, gt):
+        print(f"  ternary root: v={v:.12f} mse={analysis._population_mse(moments, v, v):.12f}")
 
 
 if __name__ == "__main__":
-    report("standard normal", _normal_means, normal_split_mse)
-    report("laplace(1)", laplace_means, laplace_mse)
+    report("standard normal", analysis._normal_moments)
+    report("laplace(1)", laplace_moments)
