@@ -38,7 +38,7 @@ from .quantizers import (
     reconstruct,
 )
 from .rank1 import channel_mean_rank1, energy_profile, rank1_binary, residual_fro2
-from .tensor import SyntheticSpec, _number, generate, load_tensor, save_tensor
+from .tensor import SyntheticSpec, _infer_format, _number, generate, load_tensor, save_tensor
 
 
 class _DataError(Exception):
@@ -84,6 +84,8 @@ def _parse_dist(token: str) -> tuple[str, tuple]:
 
 
 def cmd_quantize(args) -> int:
+    # Resolved first, so a bad --recon name fails before --out is written.
+    recon_fmt = _infer_format(args.recon, None) if args.recon else None
     x = load_tensor(args.input).reshape(-1)
     family, k = parse_method(args.method)
     q = _FAMILIES[family][0](x, k)
@@ -93,7 +95,7 @@ def cmd_quantize(args) -> int:
         q = lloyd_to_scaled_binary(q)
     save_packed(pack_quantization(q), args.out)
     if args.recon:
-        save_tensor(reconstruct(q), args.recon)
+        save_tensor(reconstruct(q), args.recon, recon_fmt)
     _emit(
         {
             "method": family,

@@ -395,9 +395,10 @@ def _fixed_points(mags: np.ndarray, gain, in_runs, with_lower: bool):
 def _best_levels(mags: np.ndarray, candidates) -> tuple[float, float]:
     """The candidate with the smallest realized error; ties to smaller v1.
 
-    Errors are scored on the unit scale of :func:`_to_unit`.
+    Errors are scored on the unit scale of :func:`_to_unit`, to which
+    ``mags`` is scaled in place.
     """
-    scaled, e = _to_unit(mags.copy(), mags[-1])
+    scaled, e = _to_unit(mags, mags[-1])
     return min(
         candidates,
         key=lambda c: (_split_mse(scaled, math.ldexp(c[0], e), math.ldexp(c[1], e)), c[0]),

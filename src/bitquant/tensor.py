@@ -50,13 +50,25 @@ class _Record:
 
     def _own(self, name: str, dtype) -> np.ndarray:
         """Store field ``name`` as a read-only C-ordered ``dtype`` copy and
-        return it.  A cast that changes a value as ``np.array_equal`` sees
-        it, such as 1.5 or -1 to uint64, raises ValueError; values already
-        of ``dtype`` are copied without that check."""
+        return it.  A cast that changes a value raises ValueError: 1.5, NaN
+        or inf to an integer, -1 to uint64, or int64 2**53 + 1 to float64.
+        Values already of ``dtype`` are copied without that check."""
         value = np.asarray(getattr(self, name))
-        arr = np.array(value, dtype=dtype, order="C")
-        if value.dtype != arr.dtype and not np.array_equal(arr, value, equal_nan=True):
-            raise ValueError(f"{name} must hold {arr.dtype} values")
+        if value.dtype == dtype:
+            arr = np.array(value, order="C")
+        else:
+            # A cast with no target value, such as NaN to an integer or
+            # 2**63 back to int64, warns; the check below names it.
+            with np.errstate(invalid="ignore"):
+                arr = np.array(value, dtype=dtype, order="C")
+                back = arr.astype(value.dtype)
+            # The promoted comparison catches -1 wrapping to uint64, the
+            # round trip a rounding that promotion repeats, as 2**53 + 1.
+            if not (
+                np.array_equal(arr, value, equal_nan=True)
+                and np.array_equal(back, value, equal_nan=True)
+            ):
+                raise ValueError(f"{name} must hold {arr.dtype} values")
         arr.setflags(write=False)
         object.__setattr__(self, name, arr)
         return arr
@@ -206,7 +218,8 @@ def _infer_format(path, fmt: str | None) -> str:
     if suffix == ".csv":
         return "csv"
     raise ValueError(
-        f"cannot infer tensor format from {path!r}; pass fmt='fqt' or 'csv'"
+        f"cannot infer tensor format from {path!r}: name it .fqt or .csv,"
+        " or pass fmt='fqt' or 'csv'"
     )
 
 

@@ -382,9 +382,24 @@ def test_empirical_curve_approaches_analytic_optimum():
 # --- population roots tool ------------------------------------------------
 
 
+# The tool's whole output, every root of both populations included.
+ROOTS_TOOL_STDOUT = """\
+== standard normal ==
+  two-bit root: v1=0.981598821568 v2=0.528818786931 mse=0.117481847829
+  two-bit GLOBAL: v1=0.981598821568 v2=0.528818786931 mse=0.117481847829
+  ternary root: v=0.612003180962 mse=0.190174039248
+== laplace(1) ==
+  two-bit root: v1=1.593624260040 v2=1.000000000000 mse=0.352389762108
+  two-bit GLOBAL: v1=1.593624260040 v2=1.000000000000 mse=0.352389762108
+  ternary root: v=1.000000000000 mse=0.528482235314
+"""
+
+
 def test_population_roots_tool_reprints_the_frozen_levels(capsys):
     runpy.run_path(str(ROOTS_TOOL), run_name="__main__")
-    sections = re.split(r"^== (.+) ==$", capsys.readouterr().out, flags=re.M)[1:]
+    out = capsys.readouterr().out
+    assert out == ROOTS_TOOL_STDOUT
+    sections = re.split(r"^== (.+) ==$", out, flags=re.M)[1:]
     printed = {
         "normal" if name == "standard normal" else name: {
             "ls2": re.search(r"GLOBAL: v1=(\S+) v2=(\S+)", body).groups(),

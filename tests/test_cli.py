@@ -259,6 +259,15 @@ def test_quantize_errors(tmp_path, capsys):
     assert stderr == "bitquant: BQT1 holds at most 64 planes, got 65\n"
     assert not wide.exists()
 
+    # The --recon name is checked before anything is written.
+    refused = tmp_path / "refused.bqt"
+    code, stdout, stderr = run(
+        capsys, "quantize", "--in", str(x_path), "--method", "ls2",
+        "--out", str(refused), "--recon", str(tmp_path / "r.txt"),
+    )
+    assert code == 1 and stdout == "" and not refused.exists()
+    assert "name it .fqt or .csv, or pass fmt='fqt' or 'csv'" in stderr
+
     code, _, _ = run(
         capsys, "quantize", "--in", str(tmp_path / "missing.fqt"), "--method", "ls1",
         "--out", str(tmp_path / "q.bqt"),

@@ -380,13 +380,22 @@ _OWNERS = {
         ScaledBinaryQuantization,
         {"levels": [2.0, 1.0], "planes": np.array([[1, -1, 1], [1, 1, -1]], dtype=np.int8)},
         {"method": "ls2"},
-        [],
+        [
+            # Promotion rounds 2**53 + 1 to float64 alike; only a round trip
+            # shows the change.  2**63 - 1 rounds to 2**63, beyond int64.
+            ("levels", {"levels": np.array([2**53 + 1, 1])}),
+            ("levels", {"levels": np.array([2**63 - 1, 1])}),
+        ],
     ),
     "LloydQuantizer": (
         LloydQuantizer,
         {"codebook": [-1.0, 1.0], "thresholds": [0.0], "codes": [0, 1, 1]},
         {"iterations": 1, "converged": True},
-        [("codes", {"codes": [0.7, 1.2]})],
+        [
+            ("codes", {"codes": [0.7, 1.2]}),
+            ("codes", {"codes": [np.nan, 1.0, 1.0]}),
+            ("codes", {"codes": [2.0**63, 0.0, 1.0]}),
+        ],
     ),
     "PackedQuantizedVector": (
         PackedQuantizedVector,
@@ -410,6 +419,9 @@ _OWNERS = {
         [
             ("signs", {"signs": [[1.5, 1.0]]}),
             ("signs", {"signs": np.array([[257, 1]], dtype=np.int64)}),
+            # NaN and inf have no int8 value, and their casts must not warn.
+            ("signs", {"signs": [[np.nan, 1.0]]}),
+            ("signs", {"signs": [[-np.inf, 1.0]]}),
         ],
     ),
     "ConditionCurve": (
