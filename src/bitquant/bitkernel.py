@@ -206,13 +206,18 @@ def quantized_matmul(rows, cols) -> np.ndarray:
 # BQT1 serialization
 
 
-def save_packed(pq: PackedQuantizedVector, path) -> None:
-    """Write a packed quantized vector to ``path`` in BQT1 format."""
+def _packed_bytes(pq: PackedQuantizedVector) -> bytes:
+    """The BQT1 bytes of ``pq``; more than 64 planes raise ValueError."""
     if pq.k > _MAX_PLANES:
         raise ValueError(f"BQT1 holds at most {_MAX_PLANES} planes, got {pq.k}")
     header = struct.pack("<4sIQ", _BQT_MAGIC, pq.k, pq.n)
     body = pq.levels.astype("<f8").tobytes() + pq.words.astype("<u8").tobytes()
-    Path(path).write_bytes(header + body)
+    return header + body
+
+
+def save_packed(pq: PackedQuantizedVector, path) -> None:
+    """Write a packed quantized vector to ``path`` in BQT1 format."""
+    Path(path).write_bytes(_packed_bytes(pq))
 
 
 def load_packed(path) -> PackedQuantizedVector:

@@ -17,6 +17,7 @@ import json
 import math
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .analysis import (
     parse_method,
     run_sweep,
 )
-from .bitkernel import pack_quantization, save_packed
+from .bitkernel import _packed_bytes, pack_quantization
 from .errors import ConvergenceError, TensorFileError
 from .quantizers import (
     _FAMILIES,
@@ -38,7 +39,7 @@ from .quantizers import (
     reconstruct,
 )
 from .rank1 import channel_mean_rank1, energy_profile, rank1_binary, residual_fro2
-from .tensor import SyntheticSpec, _infer_format, _number, generate, load_tensor, save_tensor
+from .tensor import SyntheticSpec, _number, _tensor_bytes, generate, load_tensor, save_tensor
 
 
 class _DataError(Exception):
@@ -84,8 +85,6 @@ def _parse_dist(token: str) -> tuple[str, tuple]:
 
 
 def cmd_quantize(args) -> int:
-    # Resolved first, so a bad --recon name fails before --out is written.
-    recon_fmt = _infer_format(args.recon, None) if args.recon else None
     x = load_tensor(args.input).reshape(-1)
     family, k = parse_method(args.method)
     q = _FAMILIES[family][0](x, k)
@@ -93,9 +92,12 @@ def cmd_quantize(args) -> int:
         # The Lloyd codebook is not a sum of sign planes; serialize the
         # closest k-plane form derived from its binary cluster codes.
         q = lloyd_to_scaled_binary(q)
-    save_packed(pack_quantization(q), args.out)
+    # Both files are encoded, and so checked, before either is written.
+    files = [(args.out, _packed_bytes(pack_quantization(q)))]
     if args.recon:
-        save_tensor(reconstruct(q), args.recon, recon_fmt)
+        files.append((args.recon, _tensor_bytes(reconstruct(q), args.recon)))
+    for path, blob in files:
+        Path(path).write_bytes(blob)
     _emit(
         {
             "method": family,

@@ -111,10 +111,18 @@ def reconstruct_rank1(f: Rank1Factorization) -> np.ndarray:
 
 
 def residual_fro2(x, f: Rank1Factorization) -> float:
-    """Squared Frobenius norm of X minus the reconstruction of ``f``."""
+    """Squared Frobenius norm of X minus the reconstruction of ``f``; X
+    must have the factorization's shape."""
     x = as_float_matrix(x)
-    d = x - reconstruct_rank1(f)
-    return float(np.sum(d * d))
+    if x.shape != f.shape:
+        raise ValueError(f"x has shape {x.shape}, the factorization {f.shape}")
+    # reconstruct_rank1's products and x - r, then d * d, all in one buffer.
+    d = np.outer(f.u, f.v)
+    d *= f.sigma
+    d *= f.signs
+    np.subtract(x, d, out=d)
+    d *= d
+    return float(np.sum(d))
 
 
 def _unit_magnitudes(x):

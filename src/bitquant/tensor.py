@@ -11,7 +11,10 @@ Two on-disk formats are supported:
   per dimension.  The payload is the row-major element data as 32-bit
   floats.  Ranks 1 and 2 are accepted.
 * CSV: comma-separated decimal text holding flat 1-D data only.  Values are
-  written with %.17g so that a write/read cycle is value-exact for doubles.
+  written with %.17g so that a write/read cycle is value-exact for doubles,
+  one %-format call per chunk of values.  Reading parses every token with
+  ``float`` in one ``np.fromiter`` pass; only a text that fails it is
+  walked again, token by token, to name the bad token.
 
 Loading rejects non-finite payloads, malformed headers, and dimension
 declarations that do not match the available bytes.
@@ -32,12 +35,15 @@ from .errors import (
     MalformedHeaderError,
     NonFiniteValueError,
 )
-from .rng import SplitMix64
+from .rng import _BLOCK, SplitMix64, _signs, _uniforms
 
 _FQT_MAGIC = b"FQT1"
 # Desk-scale sanity bound on element counts; anything above this is treated
 # as a corrupt header rather than a plausible tensor.
 _MAX_ELEMENTS = 1 << 40
+# Values per %-format call when writing CSV.  Alive all at once, 2**16
+# Python floats left about 2 MiB more resident memory behind them.
+_CSV_CHUNK = 4096
 
 
 class _Record:
@@ -173,22 +179,43 @@ def generate(spec: SyntheticSpec) -> np.ndarray:
     """
     rng = SplitMix64(spec.seed)
     n = spec.n
+    if spec.distribution == "normal":
+        # Box-Muller output is always finite.
+        return rng.normal(n)
+    # The other transforms run in place on each block of stream words
+    # (rng.py); lognormal takes its signs from the words after its normals.
+    out = rng.normal(n) if spec.distribution == "lognormal" else np.empty(n)
+    scratch = np.empty(min(n, _BLOCK))
+    _, blocks = rng._blocks(n)
     with np.errstate(over="ignore"):
-        if spec.distribution == "normal":
-            out = rng.normal(n)
-        elif spec.distribution == "uniform":
-            a, b = spec.params
-            out = a + (b - a) * rng.uniform_open01(n)
-        elif spec.distribution == "laplace":
-            (scale,) = spec.params
-            u = rng.uniform_open01(n)
-            # Inverse CDF; u is strictly inside (0, 1) so the log argument
-            # is in (0, 1] and the logarithm is finite.
-            out = -scale * np.where(u < 0.5, -1.0, 1.0) * np.log1p(-2.0 * np.abs(u - 0.5))
-        else:
-            mu, sigma = spec.params
-            z = rng.normal(n)
-            out = np.exp(mu + sigma * z) * rng.signs(n)
+        for lo, hi, w in blocks:
+            d, t = out[lo:hi], scratch[: hi - lo]
+            if spec.distribution == "uniform":
+                a, b = spec.params
+                _uniforms(w[0], d)
+                d *= b - a
+                d += a
+            elif spec.distribution == "laplace":
+                # Inverse CDF, scale * sign(0.5 - u) * log1p(-2 |u - 0.5|);
+                # u is strictly inside (0, 1), so the logarithm is finite.
+                (scale,) = spec.params
+                _uniforms(w[0], t)
+                np.less(t, 0.5, out=d)
+                d *= 2.0
+                d -= 1.0
+                d *= scale
+                t -= 0.5
+                np.abs(t, out=t)
+                t *= -2.0
+                np.log1p(t, out=t)
+                d *= t
+            else:
+                mu, sigma = spec.params
+                d *= sigma
+                d += mu
+                np.exp(d, out=d)
+                _signs(w[0], t)
+                d *= t
     if not np.isfinite(out).all():
         raise ValueError(f"{spec.label()} draws values beyond the float64 range")
     return out
@@ -232,6 +259,12 @@ def save_tensor(data, path, fmt: str | None = None) -> None:
     since the loader would reject the infinity it becomes.  Values that
     round to float32 subnormals or to 0 are kept.
     """
+    Path(path).write_bytes(_tensor_bytes(data, path, fmt))
+
+
+def _tensor_bytes(data, path, fmt: str | None = None) -> bytes:
+    """The bytes :func:`save_tensor` writes to ``path``; every refusal is
+    raised here, before anything is written."""
     token = _infer_format(path, fmt)
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim == 1:
@@ -244,8 +277,10 @@ def save_tensor(data, path, fmt: str | None = None) -> None:
     if token == "csv":
         if arr.ndim != 1:
             raise ValueError("CSV holds flat 1-D data only; use FQT for matrices")
-        Path(path).write_text(",".join(format(v, ".17g") for v in arr) + "\n")
-        return
+        # One %-format per chunk gives the digits of format(v, ".17g"), and
+        # keeps only a chunk's Python floats alive at once.
+        chunks = (arr[lo : lo + _CSV_CHUNK] for lo in range(0, arr.size, _CSV_CHUNK))
+        return b",".join(b",".join([b"%.17g"] * c.size) % tuple(c.tolist()) for c in chunks) + b"\n"
 
     with np.errstate(over="ignore"):
         payload = arr.astype("<f4")
@@ -253,7 +288,7 @@ def save_tensor(data, path, fmt: str | None = None) -> None:
         raise ValueError(f"{path}: a value lies beyond the float32 range of FQT")
     header = struct.pack("<4sI", _FQT_MAGIC, arr.ndim)
     header += b"".join(struct.pack("<Q", d) for d in arr.shape)
-    Path(path).write_bytes(header + payload.tobytes())
+    return header + payload.tobytes()
 
 
 def load_tensor(path, fmt: str | None = None) -> np.ndarray:
@@ -303,15 +338,19 @@ def _load_csv(path) -> np.ndarray:
         raise MalformedHeaderError(f"{path}: empty CSV")
     # An empty field, as in 1,,2, stays a token and fails to parse.
     tokens = [t.strip() for t in body.replace("\n", ",").split(",")]
-    values = np.empty(len(tokens), dtype=np.float64)
     # float() alone reads 1_0 and non-ASCII digits; one pass over the text
     # rules both out, and only a text that fails it is checked token by token.
     parse = float if text.isascii() and "_" not in text else lambda t: _number(t, float)
-    for i, tok in enumerate(tokens):
-        try:
-            values[i] = parse(tok)
-        except ValueError as exc:
-            raise MalformedHeaderError(f"{path}: bad numeric token {tok!r}") from exc
+    try:
+        values = np.fromiter(map(parse, tokens), np.float64, count=len(tokens))
+    except ValueError:
+        # Only a failed parse walks the tokens again, to name the bad one.
+        for tok in tokens:
+            try:
+                parse(tok)
+            except ValueError as exc:
+                raise MalformedHeaderError(f"{path}: bad numeric token {tok!r}") from exc
+        raise
     if not np.all(np.isfinite(values)):
         raise NonFiniteValueError(f"{path}: non-finite value in CSV")
     return values

@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written along a different route than the
-library code: eigenvalues come from a cyclic Jacobi sweep or a closed-form
+library code: synthetic draws come from whole-array formulas instead of
+blocks of the stream, eigenvalues from a cyclic Jacobi sweep or a closed-form
 3x3 solution instead of power iteration or LAPACK, plane dots from
 pure-Python integer loops instead of popcounts, and their level-weighted
 sum from a Python loop instead of a blocked array kernel, and the two-bit and
@@ -34,6 +35,52 @@ def splitmix64_reference(seed: int, count: int) -> list[int]:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return out
+
+
+def splitmix64_words(seed: int, start: int, count: int) -> np.ndarray:
+    """Stream words start .. start+count-1 of SplitMix64, as one whole-array
+    expression over the counters."""
+    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = np.uint64(seed & ((1 << 64) - 1)) + idx * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def uniform_reference(seed: int, start: int, count: int) -> np.ndarray:
+    """Uniforms in (0, 1) from the top 53 bits of the words from ``start``."""
+    w = splitmix64_words(seed, start, count)
+    return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def normal_reference(seed: int, start: int, count: int) -> np.ndarray:
+    """Box-Muller normals from the words from ``start``: the first
+    ceil(count/2) feed the radii, the next ceil(count/2) the angles."""
+    pairs = (count + 1) // 2
+    radius = np.sqrt(-2.0 * np.log(uniform_reference(seed, start, pairs)))
+    theta = (2.0 * np.pi) * uniform_reference(seed, start + pairs, pairs)
+    out = np.empty(2 * pairs)
+    out[0::2] = radius * np.cos(theta)
+    out[1::2] = radius * np.sin(theta)
+    return out[:count]
+
+
+def synthesis_reference(distribution: str, n: int, seed: int, params=()) -> np.ndarray:
+    """``generate``'s draw restated as whole-array formulas, with no blocks.
+    Lognormal signs come from the top bits of the n words after its
+    normals."""
+    if distribution == "normal":
+        return normal_reference(seed, 0, n)
+    if distribution == "uniform":
+        a, b = params
+        return a + (b - a) * uniform_reference(seed, 0, n)
+    if distribution == "laplace":
+        (scale,) = params
+        u = uniform_reference(seed, 0, n)
+        return -scale * np.where(u < 0.5, -1.0, 1.0) * np.log1p(-2.0 * np.abs(u - 0.5))
+    mu, sigma = params
+    top = splitmix64_words(seed, 2 * ((n + 1) // 2), n) >> np.uint64(63)
+    return np.exp(mu + sigma * normal_reference(seed, 0, n)) * np.where(top == 0, 1.0, -1.0)
 
 
 def brute_pm1_dot(a, b) -> int:

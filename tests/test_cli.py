@@ -259,6 +259,20 @@ def test_quantize_errors(tmp_path, capsys):
     assert stderr == "bitquant: BQT1 holds at most 64 planes, got 65\n"
     assert not wide.exists()
 
+    # Both outputs are checked before either is written: a reconstruction
+    # beyond the float32 range of FQT, or more planes than BQT1 holds.
+    big = tmp_path / "big.csv"
+    big.write_text("1e300,-2e300,3.0")
+    for source, method in ((big, "ls1"), (x_path, "greedy-65")):
+        out, recon = tmp_path / "q.bqt", tmp_path / "r.fqt"
+        code, stdout, stderr = run(
+            capsys, "quantize", "--in", str(source), "--method", method,
+            "--out", str(out), "--recon", str(recon),
+        )
+        assert code == 1 and stdout == ""
+        assert not out.exists() and not recon.exists()
+    assert stderr == "bitquant: BQT1 holds at most 64 planes, got 65\n"
+
     # The --recon name is checked before anything is written.
     refused = tmp_path / "refused.bqt"
     code, stdout, stderr = run(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,22 @@ def test_residual_energy_identity():
     direct = residual_fro2(x, f)
     via_identity = float(np.sum(x * x)) - f.sigma**2
     assert direct == pytest.approx(via_identity, rel=1e-6)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (14, 9), (3, 200), (257, 31)])
+def test_residual_is_bitwise_the_dense_difference(shape):
+    x = random_matrix(*shape, seed=sum(shape))
+    for f in (rank1_binary(x), channel_mean_rank1(x)):
+        d = x - reconstruct_rank1(f)
+        assert residual_fro2(x, f) == float(np.sum(d * d))
+
+
+def test_residual_refuses_a_matrix_of_another_shape():
+    f = rank1_binary(random_matrix(2, 4, 1))
+    for shape in [(3, 4), (1, 4), (2, 1)]:
+        message = f"x has shape {shape}, the factorization (2, 4)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            residual_fro2(np.ones(shape), f)
 
 
 def test_exact_rank1_magnitudes_are_recovered():

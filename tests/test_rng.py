@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from bitquant import SplitMix64
+from bitquant import SplitMix64, SyntheticSpec, generate
+from bitquant.rng import _BLOCK
 
-from oracles import splitmix64_reference
+from oracles import (
+    normal_reference,
+    splitmix64_reference,
+    splitmix64_words,
+    synthesis_reference,
+    uniform_reference,
+)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 0xDEADBEEF, (1 << 64) - 1])
@@ -81,3 +88,41 @@ def test_a_refused_count_leaves_the_stream_in_place():
     with pytest.raises(TypeError):
         rng.words(2.5)
     assert np.array_equal(rng.words(3), SplitMix64(0).words(3))
+
+
+# Sizes on both sides of the block edges; all but B are odd, so normal and
+# lognormal also draw an unused last Box-Muller value.
+BLOCK_SIZES = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
+DISTRIBUTIONS = [
+    ("normal", ()),
+    ("uniform", (-2.0, 3.0)),
+    ("laplace", (0.7,)),
+    ("lognormal", (0.5, 1.3)),
+]
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("distribution, params", DISTRIBUTIONS, ids=lambda p: str(p))
+def test_blocked_generate_matches_whole_array_formulas(distribution, params, n):
+    for seed in (0, 104729):
+        got = generate(SyntheticSpec(distribution, n, seed, params))
+        assert got.shape == (n,)
+        assert same_bits(got, synthesis_reference(distribution, n, seed, params))
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_blocked_draws_match_whole_array_words_and_keep_the_stream_position(n):
+    seed = 0xDEADBEEF
+    rng = SplitMix64(seed)
+    assert np.array_equal(rng.words(n), splitmix64_words(seed, 0, n))
+    assert np.array_equal(rng.uniform_open01(n), uniform_reference(seed, n, n))
+    assert same_bits(rng.normal(n), normal_reference(seed, 2 * n, n))
+    # normal(n) took 2 * ceil(n / 2) words, one more than n when n is odd.
+    at = 2 * n + 2 * ((n + 1) // 2)
+    top = splitmix64_words(seed, at, n) >> np.uint64(63)
+    assert np.array_equal(rng.signs(n), np.where(top == 0, 1, -1).astype(np.int8))
+    assert np.array_equal(rng.words(3), splitmix64_words(seed, at + n, 3))

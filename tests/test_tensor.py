@@ -298,6 +298,41 @@ def test_csv_accepts_newline_separated(tmp_path):
     assert np.array_equal(load_tensor(path), [1.5, 2.5, -3.0])
 
 
+def test_csv_writer_bytes_are_the_17_digit_format_of_each_value(tmp_path):
+    path = tmp_path / "v.csv"
+    edge = [-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1e22, 1e308, -1e308,
+            0.0, 3.0, -7.0, 1e16, 2.0**53, 123456789012345678.0]
+    # Three chunks of the writer and a part chunk, with the edge values last.
+    many = generate(SyntheticSpec("laplace", 3 * 4096 + 5, 8, (1.0,))).tolist() + edge
+    for values in (edge, many):
+        save_tensor(values, path)
+        expected = ",".join(format(v, ".17g") for v in values) + "\n"
+        assert path.read_bytes() == expected.encode("ascii")
+        back = load_tensor(path)
+        assert np.array_equal(back, values) and np.array_equal(np.signbit(back), np.signbit(values))
+
+
+def test_csv_reader_matches_float_on_each_token(tmp_path):
+    path = tmp_path / "v.csv"
+    # Spaces, tabs, vertical tabs, form feeds, \x1c-\x1f and CRLF around
+    # signed, dotted, zero-padded and exponent forms.
+    text = (" 1.5 ,\t-2e3,+3E-2\r\n4.,.5e+1 \r\n-0, +0.0 ,1E308,-4.9e-324,"
+            "\x0b7\x0c,\x1c8\x1f,0001,-.0e-0,1e-400\r\n\n")
+    path.write_bytes(text.encode("ascii"))
+    tokens = text.strip().replace("\n", ",").split(",")
+    expected = np.array([float(t.strip()) for t in tokens])
+    got = load_tensor(path)
+    assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.mark.parametrize("bad", ["zebra", "1_0", "١٢", ""])
+def test_csv_names_a_bad_last_token_of_many(tmp_path, bad):
+    path = tmp_path / "bad.csv"
+    path.write_text("0.25," * ((1 << 16) - 1) + bad)
+    with pytest.raises(MalformedHeaderError, match=f"bad numeric token {re.escape(repr(bad))}$"):
+        load_tensor(path)
+
+
 def test_csv_rejects_matrix(tmp_path):
     with pytest.raises(ValueError):
         save_tensor(np.ones((2, 2)), tmp_path / "m.csv")
