@@ -73,7 +73,9 @@ class ScaledBinaryQuantization(_Record):
         planes = np.asarray(self.planes)
         if levels.ndim != 1 or levels.size < 1:
             raise ValueError("levels must be a nonempty 1-D array")
-        if not np.isfinite(levels).all() or (levels < 0).any():
+        values = levels.tolist()
+        # NaN fails both comparisons.
+        if not all(0.0 <= v < math.inf for v in values):
             raise ValueError("levels must be finite and nonnegative")
         if planes.ndim != 2 or planes.shape[0] != levels.size or planes.shape[1] < 1:
             raise ValueError("planes must have shape (len(levels), n)")
@@ -85,10 +87,10 @@ class ScaledBinaryQuantization(_Record):
             raise ValueError(f"unknown method {self.method!r}")
         # Greedy keeps its levels in generation order, which residual
         # fitting does not sort; every other family's are nonincreasing.
-        if self.method != "greedy" and (levels[1:] > levels[:-1]).any():
+        if self.method != "greedy" and any(b > a for a, b in zip(values, values[1:])):
             raise ValueError(f"{self.method} levels must be nonincreasing")
         if self.method == "ternary":
-            if levels.size != 2 or levels[0] != levels[1]:
+            if len(values) != 2 or values[0] != values[1]:
                 raise ValueError("ternary requires two equal levels")
 
     @property
@@ -303,6 +305,13 @@ def _greedy(x, k: int, method: str) -> ScaledBinaryQuantization:
 # back to a / a_{n-1}, since its pinned centre is not shift invariant.
 # Suffix sums use a reversed cumulative sum; the forward-difference form
 # loses all precision for short upper groups.
+#
+# The kept candidates, at most seven, are ranked by their realized error.
+# Each is first scored on its cut sums, sum(a^2) - 2c P + t c^2 - 2d S
+# + (n - t) d^2 for centres c <= d, realized cut t, the sum P below the cut
+# and the rest S, within a rounding bound (see _best_levels).  Only the
+# candidates whose brackets overlap the best one are scored again by a pass
+# over the magnitudes, which decides exact ties.
 
 
 def _split_mse(mags: np.ndarray, v1: float, v2: float) -> float:
@@ -396,33 +405,83 @@ def _best_levels(mags: np.ndarray, candidates) -> tuple[float, float]:
     """The candidate with the smallest realized error; ties to smaller v1.
 
     Errors are scored on the unit scale of :func:`_to_unit`, to which
-    ``mags`` is scaled in place.
+    ``mags`` is scaled in place.  Each candidate is first scored on the
+    cut sums, and :func:`_split_mse` runs only on those whose bracket
+    overlaps the best one, so the choice is that of
+    ``min(candidates, key=(_split_mse, v1))``.
+
+    The bracket.  On the unit scale, with u = 2^-53, a candidate's realized
+    cut t and centres c = v1 - v2 <= d = v1 + v2 (as rounded), the exact
+    error E = sum_{i<t} (a_i - c)^2 + sum_{i>=t} (a_i - d)^2 is
+
+        Q - 2c P + t c^2 - 2d S + (n - t) d^2,
+
+    with Q = sum a^2, P the prefix sum up to t and S = A - P the rest of
+    A = sum a.  M = Q + 2d A + n d^2 bounds E and every term.  A float
+    sum of k nonnegative terms, in any order, is within (k - 1) u of its
+    value up to O(u^2) (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, section 4.2), so Q, P and A are within n u of theirs
+    and S within 3 n u A; with c <= d and 8 d A <= 4 M, the estimate from
+    them, evaluated in eight more roundings, is within 5 (n + 8) u M of E.
+    ``_split_mse`` rounds each residual and square and sums them, and n
+    times its result is within (n + 4) u M of E.  A square below the
+    normal range may lose up to 2^-1074 more.  So both lie within
+
+        B = 8 (n + 8) u M + 8 n 2^-1074
+
+    of the estimate, with room for the rounding of B and of the bracket
+    ends.  A candidate whose estimate - B exceeds the smallest estimate + B
+    has a strictly larger ``_split_mse`` than the candidate attaining it,
+    so it can neither win nor tie.
     """
     scaled, e = _to_unit(mags, mags[-1])
+    n = scaled.size
+    total = float(np.add.reduce(scaled))
+    squares = float(scaled @ scaled)
+    brackets = []
+    for v1, v2 in candidates:
+        v1, v2 = math.ldexp(v1, e), math.ldexp(v2, e)
+        c, d = v1 - v2, v1 + v2
+        t = int(scaled.searchsorted(v1, side="left"))
+        below = float(np.add.reduce(scaled[:t]))
+        above = total - below
+        estimate = squares - 2.0 * c * below + t * c * c - 2.0 * d * above + (n - t) * d * d
+        bound = 8 * (n + 8) * 2.0**-53 * (squares + 2.0 * d * total + n * d * d)
+        bound += 8 * n * 2.0**-1074
+        brackets.append((estimate - bound, estimate + bound))
+    ceiling = min(upper for _, upper in brackets)
+    close = [cand for cand, (lower, _) in zip(candidates, brackets) if lower <= ceiling]
+    if len(close) == 1:
+        return close[0]
     return min(
-        candidates,
+        close,
         key=lambda c: (_split_mse(scaled, math.ldexp(c[0], e), math.ldexp(c[1], e)), c[0]),
     )
 
 
+def _candidates(mags: np.ndarray, method: str):
+    """The ls2 or ternary candidate levels of sorted, not identically zero
+    magnitudes.  Ternary's are the exact fixed points of its cut scan; ls2
+    lists its own fixed points, the 1-bit fit and the ternary fixed points,
+    in that order because ties keep the first."""
+    offsets, suffix, upper = _cut_sums(mags)
+    in_runs = mags[:-1] == mags[1:]
+    candidates = _fixed_points(mags, _ternary_gain(mags, suffix, upper), in_runs, False)
+    if method == "ls2":
+        ls2 = _fixed_points(mags, _ls2_gain(offsets, suffix, upper), in_runs, True)
+        candidates = ls2 + [(_mean(mags, mags[-1]), 0.0)] + candidates
+    return candidates
+
+
 def _two_plane_fit(x, method: str) -> ScaledBinaryQuantization:
-    """The ls2 or ternary fit.  Ternary takes the best exact fixed point of
-    its cut scan; ls2 picks among its own fixed points, the 1-bit fit and
-    the ternary fixed points, listed in that order because ties keep the
-    first.  The zero vector keeps zero levels and, as sign(0) = +1, all +1
-    planes."""
+    """The ls2 or ternary fit: the best of :func:`_candidates`.  The zero
+    vector keeps zero levels and, as sign(0) = +1, all +1 planes."""
     x = as_float_vector(x)
     mags = np.abs(x)
     mags.sort()
     levels = np.zeros(2)
     if mags[-1] > 0.0:
-        offsets, suffix, upper = _cut_sums(mags)
-        in_runs = mags[:-1] == mags[1:]
-        candidates = _fixed_points(mags, _ternary_gain(mags, suffix, upper), in_runs, False)
-        if method == "ls2":
-            ls2 = _fixed_points(mags, _ls2_gain(offsets, suffix, upper), in_runs, True)
-            candidates = ls2 + [(_mean(mags, mags[-1]), 0.0)] + candidates
-        levels[:] = _best_levels(mags, candidates)
+        levels[:] = _best_levels(mags, _candidates(mags, method))
     return ScaledBinaryQuantization(levels=levels, planes=_fold(x, levels), method=method)
 
 

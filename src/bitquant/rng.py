@@ -68,6 +68,14 @@ def _signs(w: np.ndarray, out: np.ndarray) -> None:
     out += 1
 
 
+def _nonnegative(count) -> int:
+    """``count`` as an int; a negative count raises ValueError."""
+    count = operator.index(count)
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    return count
+
+
 class SplitMix64:
     """Counter-based SplitMix64 stream.
 
@@ -87,9 +95,7 @@ class SplitMix64:
         of the uint64 array ``w`` holds the words at offsets lo..hi-1 of run
         r.  The stream advances at once; ``w`` is reused from block to block.
         """
-        count = operator.index(count)
-        if count < 0:
-            raise ValueError("count must be nonnegative")
+        count = _nonnegative(count)
         start = self._pos
         self._pos += runs * count
         size = min(count, _BLOCK)
@@ -133,6 +139,7 @@ class SplitMix64:
 
         Consumes 2 * ceil(count / 2) stream words regardless of parity.
         """
+        count = _nonnegative(count)
         pairs, blocks = self._blocks((count + 1) // 2, runs=2)
         out = np.empty(2 * pairs, dtype=np.float64)
         radius, theta, trig = np.empty((3, min(pairs, _BLOCK)))

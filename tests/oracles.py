@@ -13,7 +13,8 @@ K-level quantizer from dynamic programming over every partition instead of
 alternating assignment and recentring, Lloyd's iteration from
 per-element assignment and bincount sums instead of sorted slices, and the
 two-plane cut scan from gathers at the run boundaries instead of masked
-gains over every cut.
+gains over every cut, and the two-plane candidate choice from every
+candidate's residuals instead of a screen on the cut sums.
 """
 
 from __future__ import annotations
@@ -283,9 +284,8 @@ def run_boundary_two_plane_fit(x, method: str):
 
     The boundary cuts come from ``np.nonzero`` and every sum is gathered at
     them; the exact slice-mean recompute covers the argmax and its
-    neighbours in that cut list.  The candidates are scored by their
-    realized error on the magnitudes scaled by 2^e, ties to the smaller v1,
-    and the planes are folded with ``np.where`` signs.
+    neighbours in that cut list.  :func:`split_mse_selection` picks among
+    the candidates, and the planes are folded with ``np.where`` signs.
     """
     x = np.asarray(x, dtype=np.float64)
     mags = np.sort(np.abs(x))
@@ -323,20 +323,33 @@ def run_boundary_two_plane_fit(x, method: str):
         )
     else:
         candidates = fixed_points(ternary, False)
-    e = -int(np.frexp(hi)[1])
-    scaled = np.ldexp(mags, e)
-
-    def realized_mse(c):
-        v1, v2 = np.ldexp(c, e)
-        cut = int(np.searchsorted(scaled, v1, side="left"))
-        low = scaled[:cut] - (v1 - v2)
-        high = scaled[cut:] - (v1 + v2)
-        return (float(np.sum(low * low)) + float(np.sum(high * high))) / n
-
-    levels = np.array(min(candidates, key=lambda c: (realized_mse(c), c[0])))
+    levels = np.array(split_mse_selection(mags, candidates))
     planes = np.empty((2, n), dtype=np.int8)
     residual = x
     for i, v in enumerate(levels):
         planes[i] = np.where(residual < 0, -1, 1).astype(np.int8)
         residual = residual - v * planes[i].astype(np.float64)
     return levels, planes
+
+
+def split_mse_selection(mags, candidates):
+    """The (v1, v2) among ``candidates`` with the smallest realized error on
+    the sorted magnitudes ``mags``, ties to the smaller v1 and then to the
+    first listed.
+
+    Every candidate is scored from its residuals on the magnitudes scaled
+    by 2^e, max in [0.5, 1): the cut at v1 (ties upward), the lower group
+    about v1 - v2 and the upper group about v1 + v2.
+    """
+    mags = np.asarray(mags, dtype=np.float64)
+    e = -math.frexp(float(mags[-1]))[1]
+    scaled = np.ldexp(mags, e)
+
+    def realized_mse(c):
+        v1, v2 = math.ldexp(c[0], e), math.ldexp(c[1], e)
+        cut = int(np.searchsorted(scaled, v1, side="left"))
+        low = scaled[:cut] - (v1 - v2)
+        high = scaled[cut:] - (v1 + v2)
+        return (float(np.sum(low * low)) + float(np.sum(high * high))) / scaled.size
+
+    return min(candidates, key=lambda c: (realized_mse(c), c[0]))

@@ -1,5 +1,7 @@
+import math
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from bitquant import (
     unpack_quantization,
 )
 
+from bitquant import bitkernel
 from oracles import brute_pm1_dot, row_major_level_sum
 
 sign_lists = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=300)
@@ -252,6 +255,75 @@ def test_kernel_sums_in_row_major_order(m, p, n, ka, kw, seed):
             assert np.array_equal(dot.cross_terms, cross)
             assert dot.value == expected
             assert out[i, j] == expected
+
+
+# The kernel's block rule fits rows, then words per step, into a byte
+# budget; patching the budget reaches every side of the rule at small
+# shapes, from one row per block and one word per step (8 bytes) to all
+# rows and all words at once (the default).  The examples: five words per
+# step at the default budget; over 65535 bits, stepped (an int64 count) and
+# in one step; three words per step with a short last step; and blocks of
+# three rows with a short last block.
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 9),
+    p=st.integers(1, 9),
+    n=st.integers(1, 700),
+    ka=st.integers(1, 3),
+    kw=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    budget=st.sampled_from([8, 100, 4096, bitkernel._STEP_BYTES]),
+)
+@example(m=12, p=64, n=2500, ka=4, kw=4, seed=5, budget=bitkernel._STEP_BYTES)
+@example(m=3, p=2, n=70000, ka=2, kw=1, seed=6, budget=64)
+@example(m=2, p=3, n=70000, ka=1, kw=2, seed=7, budget=bitkernel._STEP_BYTES)
+@example(m=2, p=2, n=700, ka=1, kw=1, seed=8, budget=100)
+@example(m=8, p=8, n=200, ka=2, kw=2, seed=9, budget=1000)
+def test_matmul_equals_dot_and_oracle_across_the_block_rule(m, p, n, ka, kw, seed, budget):
+    rows = [spread_quantization(n, ka, seed + i) for i in range(m)]
+    cols = [spread_quantization(n, kw, seed + m + j) for j in range(p)]
+    packed_rows = [pack_quantization(q) for q in rows]
+    packed_cols = [pack_quantization(q) for q in cols]
+    with mock.patch.object(bitkernel, "_STEP_BYTES", budget):
+        out = quantized_matmul(packed_rows, packed_cols)
+    row_planes = np.concatenate([q.planes for q in rows]).astype(np.int64)
+    col_planes = np.concatenate([q.planes for q in cols]).astype(np.int64)
+    cross = (row_planes @ col_planes.T).reshape(m, ka, p, kw)
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            expected = row_major_level_sum(r.levels.tolist(), c.levels.tolist(), cross[i, :, j].tolist())
+            dot = quantized_dot(packed_rows[i], packed_cols[j])
+            assert np.array_equal(dot.cross_terms, cross[i, :, j])
+            assert dot.value == expected
+            assert out[i, j] == expected
+
+
+@pytest.mark.parametrize("budget", [64, bitkernel._STEP_BYTES])
+def test_counts_past_uint16_stay_exact(budget):
+    # A plane against its negation differs in all 70000 bits, more than a
+    # uint16 count holds, whether the words go one per step or all at once.
+    n = 70000
+    signs = SplitMix64(12).signs(n)
+    a = packed_planes(signs, -signs)
+    b = packed_planes(-signs)
+    with mock.patch.object(bitkernel, "_STEP_BYTES", budget):
+        out = quantized_matmul([a, a], [b])
+        dot = quantized_dot(a, b)
+    assert dot.cross_terms[:, 0].tolist() == [-n, n]
+    assert dot.value == 0.0 and out.tolist() == [[0.0], [0.0]]
+
+
+def test_zero_levels_against_negative_cross_terms_give_positive_zero():
+    # Every term is (0 * 1) * -n = -0.0; a sum from 0.0 gives +0.0.
+    n = 100
+    zeros = pack_quantization(ScaledBinaryQuantization(np.zeros(2), np.ones((2, n)), "greedy"))
+    ones = pack_quantization(ScaledBinaryQuantization(np.ones(2), -np.ones((2, n)), "greedy"))
+    dot = quantized_dot(zeros, ones)
+    assert np.all(dot.cross_terms == -n)
+    assert dot.value == 0.0 and math.copysign(1.0, dot.value) == 1.0
+    assert row_major_level_sum([0.0, 0.0], [1.0, 1.0], dot.cross_terms.tolist()) == dot.value
+    out = quantized_matmul([zeros] * 3, [ones] * 4)
+    assert np.all(out == 0.0) and not np.signbit(out).any()
 
 
 def test_matmul_against_float_reference():

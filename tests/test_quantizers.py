@@ -24,13 +24,16 @@ from bitquant import (
     reconstruct,
     sign,
 )
-from bitquant.quantizers import _sorted_quantiles
+from bitquant import quantizers
+from bitquant.quantizers import _best_levels, _candidates, _sorted_quantiles
+from conftest import make_vectors
 
 from oracles import (
     exhaustive_two_bit_mse,
     lloyd_reference,
     optimal_k_level_mse,
     run_boundary_two_plane_fit,
+    split_mse_selection,
     ternary_best_on_grid,
 )
 
@@ -503,6 +506,61 @@ def test_two_plane_fits_match_the_run_boundary_scan(xs):
         levels, planes = run_boundary_two_plane_fit(x, method)
         assert q.levels.tobytes() == levels.tobytes()
         assert np.array_equal(q.planes, planes)
+
+
+def degenerate_vectors():
+    """Constant, few-ulp, tiny-lower-group, run-heavy and extreme-scale data."""
+    out = []
+    for n in (1, 2, 3, 7, 100, 1000):
+        normal = generate(SyntheticSpec("normal", n, n))
+        out += [
+            np.full(n, 0.7),
+            np.full(n, 1e300),
+            np.full(n, -3e-310),
+            np.array(ulp_cluster(1.9646934829040668, [n, n + 1, 2])),
+            np.where(np.arange(n) < max(1, n // 50), 1e-12, 1.0) * normal,
+            np.round(2.0 * normal) / 2.0,
+            1e-310 * normal,
+            1e300 * normal,
+        ]
+    return out
+
+
+@pytest.mark.parametrize("method", ["ls2", "ternary"])
+def test_best_levels_is_the_split_mse_selection(method, vector_battery):
+    # The screen on the cut sums keeps the choice that scoring every
+    # candidate by its realized error makes, bit for bit and ties included.
+    vectors = vector_battery + make_vectors(300, 3000, base_seed=7) + degenerate_vectors()
+    for x in vectors:
+        mags = np.sort(np.abs(x))
+        if mags[-1] == 0.0:
+            continue  # the zero vector has no candidates
+        candidates = _candidates(mags, method)
+        expected = split_mse_selection(mags, candidates)
+        got = _best_levels(mags.copy(), candidates)
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+def test_an_exact_tie_is_left_to_the_split_mse(monkeypatch):
+    # On constant magnitudes every candidate reconstructs the data exactly,
+    # so their brackets overlap: each is scored by _split_mse, and the tie
+    # at error 0 goes to the smaller v1.
+    scored = []
+    split_mse = quantizers._split_mse
+    monkeypatch.setattr(
+        quantizers, "_split_mse", lambda *args: scored.append(args) or split_mse(*args)
+    )
+    mags = np.full(10, 0.3)
+    candidates = _candidates(mags, "ls2")
+    assert len({c[0] for c in candidates}) == 2
+    best = _best_levels(mags.copy(), candidates)
+    assert len(scored) == len(candidates)
+    assert best == split_mse_selection(mags, candidates)
+    assert best[0] == min(c[0] for c in candidates)
+    scored.clear()
+    normal = np.sort(np.abs(generate(SyntheticSpec("normal", 1000, 3))))
+    _best_levels(normal, _candidates(normal, "ls2"))
+    assert scored == []
 
 
 # --- equivariance ---------------------------------------------------------

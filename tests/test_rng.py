@@ -83,6 +83,17 @@ def test_negative_count_rejected():
         SplitMix64(0).words(-1)
 
 
+@pytest.mark.parametrize("draw", ["words", "uniform_open01", "normal", "signs"])
+@pytest.mark.parametrize("count", [-1, -2])
+def test_every_draw_refuses_a_negative_count(draw, count):
+    # normal checks the count before it rounds it up to pairs, where -1
+    # would become 0 pairs and an empty draw.
+    rng = SplitMix64(0)
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        getattr(rng, draw)(count)
+    assert np.array_equal(rng.words(3), SplitMix64(0).words(3))
+
+
 def test_a_refused_count_leaves_the_stream_in_place():
     rng = SplitMix64(0)
     with pytest.raises(TypeError):
