@@ -178,35 +178,27 @@ def _finite(v):
     return v
 
 
-def emit_report(report: SweepReport, path, fmt: str | None = None) -> None:
-    """Write a sweep report to ``path`` as CSV or JSON.
-
-    Without ``fmt`` the report is JSON when the name of ``path`` ends in
+def emit_report(report: SweepReport, path) -> None:
+    """Write a sweep report to ``path``: JSON when its name ends in
     ``.json``, in any case, and CSV otherwise.
 
     Floats are rendered with %.17g, so a written value parses back to the
     same double.  The levels column joins values with semicolons, and CSV
     fields that hold a comma, such as ``lognormal(0,1)``, are quoted.
     """
-    if fmt is None:
-        fmt = "json" if str(path).lower().endswith(".json") else "csv"
-    token = fmt.lower()
-    if token == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(f.name for f in fields(SweepRow))
-            for r in report.rows:
-                writer.writerow((
-                    r.method, r.k, r.distribution, r.n, r.seed, format(r.mse, ".17g"),
-                    "" if r.angle_degrees is None else format(r.angle_degrees, ".17g"),
-                    ";".join(format(v, ".17g") for v in r.levels),
-                ))
-        return
-    if token == "json":
+    if str(path).lower().endswith(".json"):
         payload = {"rows": [asdict(r) for r in report.rows]}
         Path(path).write_text(json.dumps(_finite(payload), indent=2, allow_nan=False) + "\n")
         return
-    raise ValueError(f"unknown report format {fmt!r}")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(f.name for f in fields(SweepRow))
+        for r in report.rows:
+            writer.writerow((
+                r.method, r.k, r.distribution, r.n, r.seed, format(r.mse, ".17g"),
+                "" if r.angle_degrees is None else format(r.angle_degrees, ".17g"),
+                ";".join(format(v, ".17g") for v in r.levels),
+            ))
 
 
 # ---------------------------------------------------------------------------

@@ -269,10 +269,15 @@ def quantized_matmul(rows, cols) -> np.ndarray:
 # BQT1 serialization
 
 
+def _check_planes(k: int) -> None:
+    """Raise ValueError for more planes than BQT1 holds (64)."""
+    if k > _MAX_PLANES:
+        raise ValueError(f"BQT1 holds at most {_MAX_PLANES} planes, got {k}")
+
+
 def _packed_bytes(pq: PackedQuantizedVector) -> bytes:
     """The BQT1 bytes of ``pq``; more than 64 planes raise ValueError."""
-    if pq.k > _MAX_PLANES:
-        raise ValueError(f"BQT1 holds at most {_MAX_PLANES} planes, got {pq.k}")
+    _check_planes(pq.k)
     header = struct.pack("<4sIQ", _BQT_MAGIC, pq.k, pq.n)
     body = pq.levels.astype("<f8").tobytes() + pq.words.astype("<u8").tobytes()
     return header + body

@@ -29,7 +29,7 @@ from .analysis import (
     parse_method,
     run_sweep,
 )
-from .bitkernel import _packed_bytes, pack_quantization
+from .bitkernel import _check_planes, _packed_bytes, pack_quantization
 from .errors import ConvergenceError, TensorFileError
 from .quantizers import (
     _FAMILIES,
@@ -87,6 +87,8 @@ def _parse_dist(token: str) -> tuple[str, tuple]:
 def cmd_quantize(args) -> int:
     x = load_tensor(args.input).reshape(-1)
     family, k = parse_method(args.method)
+    # A width BQT1 cannot hold is refused before the fit pays for it.
+    _check_planes(k)
     q = _FAMILIES[family][0](x, k)
     if isinstance(q, LloydQuantizer):
         # The Lloyd codebook is not a sum of sign planes; serialize the

@@ -362,7 +362,15 @@ def _ternary_gain(mags, suffix, upper):
 
 
 def _threshold(m_lo, m_hi):
-    """v1 = (m_lo + m_hi) / 2, the first of :func:`_two_bit_levels`."""
+    """v1 = (m_lo + m_hi) / 2, the first of :func:`_two_bit_levels`.
+
+    A sum past the float64 maximum needs both means at least 2^970, where
+    halving is exact, so there the halves are added instead: the same
+    rounded half-sum, without the overflow.  Arrays come from the unit
+    scale of :func:`_to_unit`, so only a scalar sum can overflow.
+    """
+    if isinstance(m_hi, float) and math.isinf(m_lo + m_hi):
+        return 0.5 * m_lo + 0.5 * m_hi
     return 0.5 * (m_lo + m_hi)
 
 

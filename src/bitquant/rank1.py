@@ -107,7 +107,10 @@ class EnergyProfile:
 
 def reconstruct_rank1(f: Rank1Factorization) -> np.ndarray:
     """Dense reconstruction (sigma * u v^T) .* signs."""
-    return f.sigma * np.outer(f.u, f.v) * f.signs
+    r = np.outer(f.u, f.v)
+    r *= f.sigma
+    r *= f.signs
+    return r
 
 
 def residual_fro2(x, f: Rank1Factorization) -> float:
@@ -116,10 +119,8 @@ def residual_fro2(x, f: Rank1Factorization) -> float:
     x = as_float_matrix(x)
     if x.shape != f.shape:
         raise ValueError(f"x has shape {x.shape}, the factorization {f.shape}")
-    # reconstruct_rank1's products and x - r, then d * d, all in one buffer.
-    d = np.outer(f.u, f.v)
-    d *= f.sigma
-    d *= f.signs
+    # x - r and its square in the reconstruction's buffer.
+    d = reconstruct_rank1(f)
     np.subtract(x, d, out=d)
     d *= d
     return float(np.sum(d))
@@ -144,10 +145,9 @@ def _triple(x, mags, v, e) -> Rank1Factorization:
         u, v = np.zeros(mags.shape[0]), np.zeros(mags.shape[1])
         u[0] = v[0] = 1.0
         return Rank1Factorization(sigma=0.0, u=u, v=v, signs=signs)
-    # Rounding can leave harmless -1e-17 entries in an otherwise nonnegative
-    # eigenvector; clamp rather than fail validation.
-    u = np.maximum(y / norm_y, 0.0)
-    v = np.maximum(v, 0.0)
+    # Built from nonnegative values only, u and v hold no -0.0 or negative
+    # entry; renormalizing rounds them to unit norm.
+    u = y / norm_y
     return Rank1Factorization(
         sigma=float(_from_unit(norm_y, e)),
         u=u / np.linalg.norm(u),

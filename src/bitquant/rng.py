@@ -118,21 +118,22 @@ class SplitMix64:
 
         return count, blocks()
 
+    def _fill(self, count: int, dtype, convert) -> np.ndarray:
+        """The next ``count`` stream words, each block turned into ``dtype``
+        output by ``convert(w, out)``, which may consume ``w``."""
+        count, blocks = self._blocks(count)
+        out = np.empty(count, dtype=dtype)
+        for lo, hi, w in blocks:
+            convert(w[0], out[lo:hi])
+        return out
+
     def words(self, count: int) -> np.ndarray:
         """Next ``count`` raw 64-bit words as a uint64 array."""
-        count, blocks = self._blocks(count)
-        out = np.empty(count, dtype=np.uint64)
-        for lo, hi, w in blocks:
-            out[lo:hi] = w[0]
-        return out
+        return self._fill(count, np.uint64, lambda w, out: np.copyto(out, w))
 
     def uniform_open01(self, count: int) -> np.ndarray:
         """Doubles in the open interval (0, 1), one per stream word."""
-        count, blocks = self._blocks(count)
-        out = np.empty(count, dtype=np.float64)
-        for lo, hi, w in blocks:
-            _uniforms(w[0], out[lo:hi])
-        return out
+        return self._fill(count, np.float64, _uniforms)
 
     def normal(self, count: int) -> np.ndarray:
         """Standard normal deviates via Box-Muller on pairs of uniforms.
@@ -163,8 +164,4 @@ class SplitMix64:
 
         A clear top bit maps to +1, a set top bit to -1.
         """
-        count, blocks = self._blocks(count)
-        out = np.empty(count, dtype=np.int8)
-        for lo, hi, w in blocks:
-            _signs(w[0], out[lo:hi])
-        return out
+        return self._fill(count, np.int8, _signs)

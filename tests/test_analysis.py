@@ -162,7 +162,7 @@ def test_emit_report_csv_round_trip(tmp_path):
 def test_emit_report_json_round_trip(tmp_path):
     report = run_sweep(small_specs(), ["ls1"])
     path = tmp_path / "sweep.json"
-    emit_report(report, path, fmt="json")
+    emit_report(report, path)
     payload = json.loads(path.read_text())
     assert len(payload["rows"]) == 2
     assert payload["rows"][0]["mse"] == report.rows[0].mse
@@ -175,9 +175,6 @@ def test_emit_report_picks_its_format_from_the_name(tmp_path):
         assert len(json.loads((tmp_path / name).read_text())["rows"]) == 2
     emit_report(report, str(tmp_path / "r.csv"))
     assert (tmp_path / "r.csv").read_text().startswith("method,k,")
-    # An explicit format wins over the name.
-    emit_report(report, tmp_path / "csv.json", fmt="csv")
-    assert (tmp_path / "csv.json").read_text().startswith("method,k,")
 
 
 def test_emit_report_json_writes_non_finite_as_null(tmp_path):
@@ -186,7 +183,7 @@ def test_emit_report_json_writes_non_finite_as_null(tmp_path):
     base_row = run_sweep([SyntheticSpec("normal", 8, 0)], ["ls1"]).rows[0]
     row = replace(base_row, mse=math.inf, levels=(math.nan, 1.0))
     path = tmp_path / "sweep.json"
-    emit_report(SweepReport(rows=(row,)), path, fmt="json")
+    emit_report(SweepReport(rows=(row,)), path)
     parsed = json.loads(path.read_text())["rows"][0]
     assert parsed["mse"] is None and parsed["levels"] == [None, 1.0]
 
@@ -202,9 +199,11 @@ def test_emit_report_blank_angle_for_none(tmp_path):
     assert ",," in line  # empty angle field
 
 
-def test_emit_report_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        emit_report(SweepReport(rows=()), tmp_path / "x.bin", fmt="parquet")
+def test_emit_report_writes_csv_to_any_other_name(tmp_path):
+    report = run_sweep(small_specs(), ["ls1"])
+    for name in ("r.bin", "r.json.txt", "json"):
+        emit_report(report, tmp_path / name)
+        assert (tmp_path / name).read_text().startswith("method,k,")
 
 
 # --- empirical condition curves -------------------------------------------

@@ -213,6 +213,22 @@ def test_quantize_lloyd_near_the_float64_maximum(tmp_path, capsys):
     assert 1e308 < last_json(stdout)["levels"][0] < 1.7e308
 
 
+def test_quantize_refuses_a_width_past_bqt1_before_fitting(tmp_path, capsys, monkeypatch):
+    x_path = tmp_path / "x.csv"
+    x_path.write_text("1.0,-2.0,3.0\n")
+    fits = []
+    monkeypatch.setitem(cli._FAMILIES, "greedy", (lambda x, k: fits.append(k), None))
+    for width in (65, 2_000_000_000):
+        out = tmp_path / "q.bqt"
+        code, stdout, stderr = run(
+            capsys, "quantize", "--in", str(x_path), "--method", f"greedy-{width}",
+            "--out", str(out),
+        )
+        assert code == 1 and stdout == "" and not out.exists()
+        assert stderr == f"bitquant: BQT1 holds at most 64 planes, got {width}\n"
+    assert fits == []
+
+
 def test_quantize_errors(tmp_path, capsys):
     x_path = tmp_path / "x.fqt"
     run(capsys, "gen", "--dist", "normal", "--shape", "10", "--out", str(x_path))
@@ -612,6 +628,21 @@ def test_readme_cli_examples_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
+
+
+def test_readme_quick_start_prints_its_commented_numbers(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library quick start\n", 1)[1]
+    source = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(source, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    comments = [
+        line.split("#", 1)[1] for line in source.splitlines() if line.startswith("print(")
+    ]
+    assert len(printed) == len(comments) == 3
+    number = re.compile(r"-?\d+\.\d+(?:e[-+]?\d+)?")
+    for out, comment in zip(printed, comments):
+        assert number.findall(out) == number.findall(comment), (out, comment)
 
 
 def test_unwritable_output_is_data_error(tmp_path, capsys):

@@ -797,6 +797,19 @@ def test_lloyd_near_the_float64_maximum_stays_finite():
     np.testing.assert_allclose(lq.codebook, [-2.3 / 3 * 1e308, 1.4e308], rtol=1e-15)
 
 
+@pytest.mark.parametrize("x", [NEAR_MAX, [1.7e308, 6.636675514034699e307]])
+def test_ls2_is_optimal_where_the_group_means_sum_past_the_maximum(x):
+    # The optimal cut's two group means sum past the float64 maximum; an
+    # overflowing threshold failed its fixed-point test and a worse
+    # candidate won, reconstructing 6.6e307 as 0.
+    scaled = np.ldexp(x, -1000)
+    base, got = quantize_ls2(scaled), quantize_ls2(x)
+    assert np.array_equal(got.levels, np.ldexp(base.levels, 1000))
+    assert np.array_equal(got.planes, base.planes)
+    bound = exhaustive_two_bit_mse(scaled)
+    assert mse(scaled, base) <= bound + 1e-9 * max(1.0, bound)
+
+
 def test_no_fit_beats_the_optimal_k_level_quantizer(vector_battery):
     for x in vector_battery:
         fits = [(quantize_ls1(x), 2), (quantize_ternary(x), 3), (quantize_ls2(x), 4)]

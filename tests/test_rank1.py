@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitquant import (
     ConvergenceError,
@@ -196,6 +198,31 @@ def test_power_of_two_scaling_is_exact(power, monkeypatch):
         assert got.singular_energies == tuple(np.ldexp(base.singular_energies, 2 * power))
         assert got.total == np.ldexp(base.total, 2 * power)
         assert got.remainder == np.ldexp(base.remainder, 2 * power)
+
+
+@st.composite
+def magnitude_edge_matrices(draw):
+    """Small matrices with exact and negative zeros, zero rows and columns,
+    and entries scaled by 2^-1074 up to 2^1000."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
+    x = np.array(draw(st.lists(entries, min_size=m * n, max_size=m * n))).reshape(m, n)
+    x[draw(st.lists(st.integers(0, m - 1), max_size=m)), :] = 0.0
+    x[:, draw(st.lists(st.integers(0, n - 1), max_size=n))] = -0.0
+    return np.ldexp(x, draw(st.sampled_from([-1074, -1000, 0, 1000])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(magnitude_edge_matrices())
+def test_scale_vectors_have_no_negative_or_negative_zero_entry(x):
+    # _triple builds u and v from |X|, its column sums and products of the
+    # two, so they need no clamp at 0: no entry carries a sign bit.
+    try:
+        best = rank1_binary(x)
+    except ConvergenceError as exc:
+        best = exc.partial
+    for f in (best, channel_mean_rank1(x)):
+        assert not np.signbit(f.u).any() and not np.signbit(f.v).any()
 
 
 @pytest.mark.parametrize("factor", [1e160, 1e-160])
