@@ -38,7 +38,7 @@ from .errors import (
     MalformedHeaderError,
     NonFiniteValueError,
 )
-from .quantizers import ScaledBinaryQuantization
+from .quantizers import ScaledBinaryQuantization, _expand
 from .tensor import _MAX_ELEMENTS, _Record
 
 WORD_BITS = 64
@@ -56,10 +56,7 @@ def _n_words(n_bits: int) -> int:
 
 def _tail_mask(n_bits: int) -> np.uint64:
     """All-ones mask for the occupied bits of the final word."""
-    used = n_bits % WORD_BITS
-    if used == 0:
-        return np.uint64(0xFFFFFFFFFFFFFFFF)
-    return np.uint64((1 << used) - 1)
+    return np.uint64(0xFFFFFFFFFFFFFFFF >> (-n_bits % WORD_BITS))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,25 +99,23 @@ class PackedQuantizedVector(_Record):
 
 def pack_quantization(q: ScaledBinaryQuantization) -> PackedQuantizedVector:
     """Bit-pack the planes of a scaled binary quantization."""
-    packed = np.packbits(q.planes > 0, axis=1, bitorder="little")
-    if q.n % WORD_BITS:
-        # packbits zero-fills the last byte; zero bytes fill the last word.
-        packed = np.concatenate(
-            (packed, np.zeros((q.k, 8 * _n_words(q.n) - packed.shape[1]), dtype=np.uint8)),
-            axis=1,
-        )
+    # packbits zero-fills the last byte; zero bytes fill the last word.
+    packed = np.zeros((q.k, 8 * _n_words(q.n)), dtype=np.uint8)
+    packed[:, : (q.n + 7) // 8] = np.packbits(q.planes > 0, axis=1, bitorder="little")
     return PackedQuantizedVector(levels=q.levels, words=packed.view("<u8"), n=q.n)
 
 
 def unpack_quantization(pq: PackedQuantizedVector) -> np.ndarray:
     """Reconstruct the float64 vector sum(level_i * plane_i).
 
-    This is the expression of ``quantizers.reconstruct``, so unpacking a
-    packed quantization gives its reconstruction bit for bit.
+    The planes go through the expansion of ``quantizers.reconstruct``, so
+    unpacking a packed quantization gives its reconstruction bit for bit.
     """
     as_bytes = pq.words.astype("<u8", copy=False).view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=1, count=pq.n, bitorder="little")
-    return pq.levels @ (2.0 * bits - 1.0)
+    planes = np.unpackbits(as_bytes, axis=1, count=pq.n, bitorder="little").view(np.int8)
+    planes *= 2
+    planes -= 1
+    return _expand(pq.levels, planes)
 
 
 def _products(a_words, a_levels, b_words, b_levels, n: int):

@@ -152,10 +152,16 @@ class QuantizationObjective:
     mse: float
 
 
+def _expand(levels: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """sum(levels[i] * planes[i]) over (k, n) +-1 planes; reconstruct and
+    the bitkernel's unpacking share it, so they agree bit for bit."""
+    return levels @ planes.astype(np.float64)
+
+
 def reconstruct(q) -> np.ndarray:
     """Dequantize back to a float64 vector."""
     if isinstance(q, ScaledBinaryQuantization):
-        return q.levels @ q.planes.astype(np.float64)
+        return _expand(q.levels, q.planes)
     if isinstance(q, LloydQuantizer):
         return q.codebook[q.codes]
     raise TypeError(f"cannot reconstruct from {type(q).__name__}")

@@ -119,11 +119,14 @@ def residual_fro2(x, f: Rank1Factorization) -> float:
     x = as_float_matrix(x)
     if x.shape != f.shape:
         raise ValueError(f"x has shape {x.shape}, the factorization {f.shape}")
-    # x - r and its square in the reconstruction's buffer.
+    # x - r and its square in the reconstruction's buffer.  x and r share
+    # signs, so x - r is finite, and its square and sum overflow only where
+    # the true residual does: that inf is the answer, not a fault.
     d = reconstruct_rank1(f)
     np.subtract(x, d, out=d)
-    d *= d
-    return float(np.sum(d))
+    with np.errstate(over="ignore"):
+        d *= d
+        return float(np.sum(d))
 
 
 def _unit_magnitudes(x):
@@ -137,7 +140,8 @@ def _triple(x, mags, v, e) -> Rank1Factorization:
     """The factorization of X along the nonnegative unit right vector ``v``,
     where ``mags`` is |X| on the unit scale of exponent e: u = |X| v
     normalized and sigma its norm.  A zero product, as for X = 0, gives
-    sigma 0 and the first coordinate vectors."""
+    sigma 0 and the first coordinate vectors; a sigma past the float64
+    maximum raises ValueError."""
     signs = sign(x)
     y = mags @ v
     norm_y = float(np.linalg.norm(y))
@@ -145,11 +149,14 @@ def _triple(x, mags, v, e) -> Rank1Factorization:
         u, v = np.zeros(mags.shape[0]), np.zeros(mags.shape[1])
         u[0] = v[0] = 1.0
         return Rank1Factorization(sigma=0.0, u=u, v=v, signs=signs)
+    sigma = float(_from_unit(norm_y, e))
+    if sigma == np.inf:
+        raise ValueError("the leading singular value of |X| lies beyond the float64 range")
     # Built from nonnegative values only, u and v hold no -0.0 or negative
     # entry; renormalizing rounds them to unit norm.
     u = y / norm_y
     return Rank1Factorization(
-        sigma=float(_from_unit(norm_y, e)),
+        sigma=sigma,
         u=u / np.linalg.norm(u),
         v=v / np.linalg.norm(v),
         signs=signs,

@@ -10,11 +10,11 @@ the stream with seed s is
 which equals the i-th output of sequential splitmix64 seeded with s.  The
 counter form makes every word a function of its position alone (Steele, Lea
 & Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014), so
-any stretch of the stream can be computed on its own.  Every draw is filled
-in blocks of ``_BLOCK`` positions: a block's words are mixed in place in
-reused buffers, and the caller turns them into output while they are still
-in cache, so no full-length temporary is built.  The result is bit for bit
-what each formula gives evaluated over the whole array at once.
+any stretch of the stream can be computed on its own.  Every draw goes
+through one block loop, ``SplitMix64._fill``: it mixes ``_BLOCK`` positions
+at a time in place in reused buffers, and the draw turns them into output
+while they are still in cache, so no full-length temporary is built.  The
+result is bit for bit what each formula gives over the whole array at once.
 
 Uniform doubles are taken from the top 53 bits of each word, shifted into
 the open interval (0, 1):  u = ((w >> 11) + 0.5) * 2**-53.  Normals use the
@@ -68,6 +68,27 @@ def _signs(w: np.ndarray, out: np.ndarray) -> None:
     out += 1
 
 
+def _box_muller(w: np.ndarray, out: np.ndarray) -> None:
+    """Normal pairs into the (m, 2) rows of ``out``: pair j from the radius
+    of word j and the angle of word m + j of ``w``, which is consumed."""
+    m = len(out)
+    u = w.view(np.float64)
+    _uniforms(w, u)
+    r, t = u.reshape(2, m)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    t *= 2.0 * np.pi
+    # cos and sin run on contiguous halves of out, as over a whole array;
+    # the pairs then interleave their products.
+    c, s = out.reshape(2, m)
+    np.cos(t, out=c)
+    np.sin(t, out=s)
+    np.multiply(r, s, out=t)
+    r *= c
+    out[...] = u.reshape(2, m).T
+
+
 def _nonnegative(count) -> int:
     """``count`` as an int; a negative count raises ValueError."""
     count = operator.index(count)
@@ -88,80 +109,51 @@ class SplitMix64:
         self._seed = operator.index(seed) & _U64_MASK
         self._pos = 0
 
-    def _blocks(self, count: int, runs: int = 1):
-        """Take ``runs`` consecutive runs of ``count`` stream words.
-
-        Returns ``count`` and an iterator over blocks ``(lo, hi, w)``: row r
-        of the uint64 array ``w`` holds the words at offsets lo..hi-1 of run
-        r.  The stream advances at once; ``w`` is reused from block to block.
-        """
-        count = _nonnegative(count)
+    def _fill(self, out: np.ndarray, convert, runs: int = 1) -> np.ndarray:
+        """Fill ``out`` from the next ``runs`` runs of ``len(out)`` stream
+        words and return it.  Block by block, ``convert(w, out[lo:hi])``
+        gets the words at offsets lo..hi-1 of each run, one run after the
+        other, in a reused uint64 buffer ``w`` that it may consume, also as
+        float64 scratch."""
+        count = len(out)
         start = self._pos
         self._pos += runs * count
         size = min(count, _BLOCK)
         # (i + 1) * golden for the i-th position of a block, modulo 2**64.
-        steps = np.arange(1, size + 1, dtype=np.uint64)
-        steps *= np.uint64(_GOLDEN)
-        w = np.empty((runs, size), dtype=np.uint64)
+        steps = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        buf = np.empty(runs * size, dtype=np.uint64)
         t = np.empty(size, dtype=np.uint64)
-
-        def blocks():
-            for lo in range(0, count, _BLOCK):
-                m = min(count - lo, _BLOCK)
-                for r in range(runs):
-                    # Word i of the block is mix64(seed + (pos + i + 1) * golden).
-                    pos = start + r * count + lo
-                    base = np.uint64((self._seed + pos * _GOLDEN) & _U64_MASK)
-                    np.add(steps[:m], base, out=w[r, :m])
-                    _mix64(w[r, :m], t[:m])
-                yield lo, lo + m, w[:, :m]
-
-        return count, blocks()
-
-    def _fill(self, count: int, dtype, convert) -> np.ndarray:
-        """The next ``count`` stream words, each block turned into ``dtype``
-        output by ``convert(w, out)``, which may consume ``w``."""
-        count, blocks = self._blocks(count)
-        out = np.empty(count, dtype=dtype)
-        for lo, hi, w in blocks:
-            convert(w[0], out[lo:hi])
+        for lo in range(0, count, _BLOCK):
+            m = min(count - lo, _BLOCK)
+            w = buf[: runs * m]
+            for r, run in enumerate(w.reshape(runs, m)):
+                # Word i of the block is mix64(seed + (pos + i + 1) * golden).
+                pos = start + r * count + lo
+                base = np.uint64((self._seed + pos * _GOLDEN) & _U64_MASK)
+                np.add(steps[:m], base, out=run)
+                _mix64(run, t[:m])
+            convert(w, out[lo : lo + m])
         return out
 
     def words(self, count: int) -> np.ndarray:
         """Next ``count`` raw 64-bit words as a uint64 array."""
-        return self._fill(count, np.uint64, lambda w, out: np.copyto(out, w))
+        return self._fill(np.empty(_nonnegative(count), np.uint64), lambda w, d: np.copyto(d, w))
 
     def uniform_open01(self, count: int) -> np.ndarray:
         """Doubles in the open interval (0, 1), one per stream word."""
-        return self._fill(count, np.float64, _uniforms)
+        return self._fill(np.empty(_nonnegative(count)), _uniforms)
 
     def normal(self, count: int) -> np.ndarray:
         """Standard normal deviates via Box-Muller on pairs of uniforms.
 
         Consumes 2 * ceil(count / 2) stream words regardless of parity.
         """
-        count = _nonnegative(count)
-        pairs, blocks = self._blocks((count + 1) // 2, runs=2)
-        out = np.empty(2 * pairs, dtype=np.float64)
-        radius, theta, trig = np.empty((3, min(pairs, _BLOCK)))
-        for lo, hi, w in blocks:
-            m = hi - lo
-            r, t, c = radius[:m], theta[:m], trig[:m]
-            _uniforms(w[0], r)
-            np.log(r, out=r)
-            r *= -2.0
-            np.sqrt(r, out=r)
-            _uniforms(w[1], t)
-            t *= 2.0 * np.pi
-            np.cos(t, out=c)
-            np.multiply(r, c, out=out[2 * lo : 2 * hi : 2])
-            np.sin(t, out=c)
-            np.multiply(r, c, out=out[2 * lo + 1 : 2 * hi : 2])
-        return out[:count]
+        pairs = (_nonnegative(count) + 1) // 2
+        return self._fill(np.empty((pairs, 2)), _box_muller, runs=2).reshape(-1)[:count]
 
     def signs(self, count: int) -> np.ndarray:
         """Random +-1 values (int8), one per stream word, from the top bit.
 
         A clear top bit maps to +1, a set top bit to -1.
         """
-        return self._fill(count, np.int8, _signs)
+        return self._fill(np.empty(_nonnegative(count), np.int8), _signs)

@@ -35,7 +35,7 @@ from .errors import (
     MalformedHeaderError,
     NonFiniteValueError,
 )
-from .rng import _BLOCK, SplitMix64, _signs, _uniforms
+from .rng import SplitMix64, _signs, _uniforms
 
 _FQT_MAGIC = b"FQT1"
 # Desk-scale sanity bound on element counts; anything above this is treated
@@ -185,37 +185,38 @@ def generate(spec: SyntheticSpec) -> np.ndarray:
     # The other transforms run in place on each block of stream words
     # (rng.py); lognormal takes its signs from the words after its normals.
     out = rng.normal(n) if spec.distribution == "lognormal" else np.empty(n)
-    scratch = np.empty(min(n, _BLOCK))
-    _, blocks = rng._blocks(n)
+
+    def convert(w, d):
+        t = w.view(np.float64)  # scratch once the words are consumed
+        if spec.distribution == "uniform":
+            a, b = spec.params
+            _uniforms(w, d)
+            d *= b - a
+            d += a
+        elif spec.distribution == "laplace":
+            # Inverse CDF, scale * sign(0.5 - u) * log1p(-2 |u - 0.5|); u is
+            # strictly inside (0, 1), so the logarithm is finite.
+            (scale,) = spec.params
+            _uniforms(w, t)
+            np.less(t, 0.5, out=d)
+            d *= 2.0
+            d -= 1.0
+            d *= scale
+            t -= 0.5
+            np.abs(t, out=t)
+            t *= -2.0
+            np.log1p(t, out=t)
+            d *= t
+        else:
+            mu, sigma = spec.params
+            d *= sigma
+            d += mu
+            np.exp(d, out=d)
+            _signs(w, t)
+            d *= t
+
     with np.errstate(over="ignore"):
-        for lo, hi, w in blocks:
-            d, t = out[lo:hi], scratch[: hi - lo]
-            if spec.distribution == "uniform":
-                a, b = spec.params
-                _uniforms(w[0], d)
-                d *= b - a
-                d += a
-            elif spec.distribution == "laplace":
-                # Inverse CDF, scale * sign(0.5 - u) * log1p(-2 |u - 0.5|);
-                # u is strictly inside (0, 1), so the logarithm is finite.
-                (scale,) = spec.params
-                _uniforms(w[0], t)
-                np.less(t, 0.5, out=d)
-                d *= 2.0
-                d -= 1.0
-                d *= scale
-                t -= 0.5
-                np.abs(t, out=t)
-                t *= -2.0
-                np.log1p(t, out=t)
-                d *= t
-            else:
-                mu, sigma = spec.params
-                d *= sigma
-                d += mu
-                np.exp(d, out=d)
-                _signs(w[0], t)
-                d *= t
+        rng._fill(out, convert)
     if not np.isfinite(out).all():
         raise ValueError(f"{spec.label()} draws values beyond the float64 range")
     return out

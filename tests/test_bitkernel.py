@@ -18,8 +18,11 @@ from bitquant import (
     load_packed,
     pack_quantization,
     quantize_greedy,
+    quantize_ls2,
+    quantize_ternary,
     quantized_dot,
     quantized_matmul,
+    reconstruct,
     save_packed,
     unpack_quantization,
 )
@@ -120,6 +123,14 @@ def test_pack_quantization_round_trip(vector_battery):
         recon = unpack_quantization(pq)
         direct = q.levels @ q.planes.astype(np.float64)
         assert np.array_equal(recon, direct)
+    # Unpacking equals reconstruct bit for bit, -0.0 included, on both sides
+    # of the word edge.
+    for n in (1, 63, 64, 65, 4097):
+        x = SplitMix64(n).normal(n)
+        fits = [quantize_greedy(x, k) for k in (1, 2, 3, 8)]
+        for q in fits + [quantize_ls2(x), quantize_ternary(x)]:
+            got = unpack_quantization(pack_quantization(q))
+            assert got.tobytes() == reconstruct(q).tobytes()
 
 
 def test_packed_vector_validation():

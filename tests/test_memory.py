@@ -14,6 +14,7 @@ from functools import partial
 import pytest
 
 from bitquant import (
+    SplitMix64,
     SyntheticSpec,
     angle,
     condition_curve,
@@ -60,6 +61,20 @@ _BUDGETS = {
     "energy_profile": (lambda x, m: partial(energy_profile, m, 8), 16),
     "rank1_binary": (lambda x, m: partial(rank1_binary, m), 12.3),
     "residual_fro2": (lambda x, m: partial(residual_fro2, m, rank1_binary(m)), 10),
+    "words": (lambda x, m: partial(SplitMix64(5).words, N), 20),
+    "uniform_open01": (lambda x, m: partial(SplitMix64(5).uniform_open01, N), 20),
+    "normal": (lambda x, m: partial(SplitMix64(5).normal, N), 24),
+    "signs": (lambda x, m: partial(SplitMix64(5).signs, N), 13),
+    "generate normal": (lambda x, m: partial(generate, SyntheticSpec("normal", N, 5)), 24),
+    "generate uniform": (
+        lambda x, m: partial(generate, SyntheticSpec("uniform", N, 5, (-2.0, 3.0))), 20
+    ),
+    "generate laplace": (
+        lambda x, m: partial(generate, SyntheticSpec("laplace", N, 5, (1.0,))), 20.2
+    ),
+    "generate lognormal": (
+        lambda x, m: partial(generate, SyntheticSpec("lognormal", N, 5, (0.0, 1.0))), 24
+    ),
 }
 
 

@@ -184,6 +184,11 @@ def test_power_of_two_scaling_is_exact(power, monkeypatch):
         assert got.sigma == np.ldexp(base.sigma, power)
         assert np.array_equal(got.u, base.u) and np.array_equal(got.v, base.v)
         assert np.array_equal(got.signs, base.signs)
+        # 2^1200 overflows to inf and 2^-1200 underflows to 0, as the true
+        # residual does; neither warns.
+        with np.errstate(over="ignore"):
+            expected = np.ldexp(residual_fro2(x, base), 2 * power)
+        assert residual_fro2(scaled, got) == expected
     monkeypatch.setattr(rank1, "_POWER_MAX_ITERS", 1)
     with pytest.raises(ConvergenceError) as info:
         rank1_binary(scaled)
@@ -198,6 +203,13 @@ def test_power_of_two_scaling_is_exact(power, monkeypatch):
         assert got.singular_energies == tuple(np.ldexp(base.singular_energies, 2 * power))
         assert got.total == np.ldexp(base.total, 2 * power)
         assert got.remainder == np.ldexp(base.remainder, 2 * power)
+
+
+@pytest.mark.parametrize("fit", [rank1_binary, channel_mean_rank1])
+def test_sigma_past_the_float64_maximum_names_its_cause(fit):
+    # Every entry is finite, but sigma = 3 * 1.7e308 is not.
+    with pytest.raises(ValueError, match="lies beyond the float64 range"):
+        fit(np.full((3, 3), 1.7e308))
 
 
 @st.composite
