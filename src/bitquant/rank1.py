@@ -15,9 +15,14 @@ iteration cannot stall on an orthogonal start.
 
 ``energy_profile`` reports how the squared Frobenius norm of |X| splits
 across the leading singular directions, which is what makes a rank-1 scale
-field a good or bad fit for a given matrix.  It needs singular values but
-no vectors, so it takes them all from one dense symmetric eigensolve of the
-smaller Gram matrix of |X| rather than from power iteration.
+field a good or bad fit for a given matrix.  It needs the leading
+eigenvalues of the smaller Gram matrix G of |X| but no vectors.  Above a
+size floor it takes them from a block Krylov subspace of G and certifies
+them: Ritz values are lower bounds (Cauchy interlacing), one Cholesky
+factorization proves that G has no eigenvalue above a threshold mu on the
+complement of the Ritz vectors, and the residual then bounds each error
+quadratically (Li and Li 2005).  Below the floor, or when the certificate
+cannot be given, it runs one dense symmetric eigensolve of G.
 ``channel_mean_rank1`` is the cheap per-row alternative (each row scaled by
 its mean magnitude): the same triple, taken along the uniform right vector.
 """
@@ -25,7 +30,7 @@ its mean magnitude): the same triple, taken along the uniform right vector.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,6 +41,17 @@ from .tensor import _Record, as_float_matrix
 _REL_SLACK = 1e-9
 _POWER_TOL = 1e-12
 _POWER_MAX_ITERS = 10_000
+
+# The Krylov path of energy_profile: the smallest Gram side it runs on, in
+# columns of its block (a Krylov solve that stalls after two blocks then
+# costs at most about 5 % of the dense eigensolve), the columns it adds to
+# the block beyond top_r, its block budget, its stop tolerance and the
+# largest certified error it accepts, both relative to the leading energy.
+_KRYLOV_FLOOR = 50
+_KRYLOV_EXTRA = 8
+_KRYLOV_BLOCKS = 5
+_KRYLOV_TOL = 2.5e-13
+_KRYLOV_BOUND = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,19 +92,45 @@ class Rank1Factorization(_Record):
 
 
 @dataclass(frozen=True)
+class EnergySolve:
+    """How :func:`energy_profile` found its energies.
+
+    ``path`` is ``"krylov"`` or ``"dense"``.  ``reason`` says why the dense
+    path ran: ``"floor"`` (the Gram side is below the size floor),
+    ``"stall"`` (the residual could not reach the stop test within the
+    block budget at its rate so far), ``"budget"`` (the budget ran out),
+    ``"bound"`` (the certified bound exceeds 1e-12 of the leading energy)
+    or ``"refused"`` (the Cholesky certificate failed); it is None on the
+    Krylov path.  ``dimension`` is the Krylov subspace dimension reached,
+    0 if none was built, and ``bound`` the certified bound on how far each
+    reported energy lies below the true one, in the energies' units (None
+    on the dense path).
+    """
+
+    path: str
+    reason: str | None = None
+    dimension: int = 0
+    bound: float | None = None
+
+
+@dataclass(frozen=True)
 class EnergyProfile:
     """Squared-magnitude energy split across leading singular directions.
 
     ``singular_energies[i]`` is the energy captured by singular direction i
     of the magnitude matrix, ``total`` the full squared Frobenius norm,
     ``ratio_1`` the leading share in [0, 1], and ``remainder`` whatever the
-    reported directions leave unexplained.
+    reported directions leave unexplained.  ``diagnostics`` is an
+    :class:`EnergySolve` saying which eigensolver ran and why (None when
+    not recorded, as for a zero matrix); it takes no part in equality or
+    repr.
     """
 
     singular_energies: tuple
     total: float
     ratio_1: float
     remainder: float
+    diagnostics: EnergySolve | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         energies = tuple(float(e) for e in self.singular_energies)
@@ -207,18 +249,111 @@ def channel_mean_rank1(x) -> Rank1Factorization:
     return _triple(x, mags, np.full(n, 1.0 / np.sqrt(n)), e)
 
 
+def _gram(mags) -> np.ndarray:
+    """The smaller Gram matrix of ``mags``."""
+    m, n = mags.shape
+    return mags.T @ mags if n <= m else mags @ mags.T
+
+
+def _krylov(gram, r):
+    """The top ``r`` eigenvalues of ``gram`` from a block Krylov subspace,
+    with the :class:`EnergySolve` that records their bound, and ``gram``
+    overwritten with the certificate matrix M, which the caller must factor;
+    or None and the reason the dense path must run, with ``gram`` intact.
+
+    The start block is the r + 8 columns of G with the largest diagonal,
+    ties to the lower index, so the solve draws no random numbers.  Each
+    new block is orthogonalized against the basis twice (two projections,
+    each followed by a QR step).  The Ritz values theta and vectors Y pass
+    when ||R||^2 <= tol * theta_1 * gap and ||R|| < gap / 4, where
+    R = G Y - Y Theta is the Ritz residual in the Frobenius norm and
+    gap = theta_r - theta_{r+1}.
+
+    With mu = theta_r - gap / 2 and c = 2 theta_1, a Cholesky factorization
+    of M = mu I - G + c Y Y^T that completes proves M positive definite, so
+    z^T G z < mu |z|^2 for every z orthogonal to Y.  Then G has exactly r
+    eigenvalues above mu, and 0 <= lambda_i - theta_i <= ||R||^2 /
+    (theta_r - mu) for i <= r: the lower bound is Cauchy interlacing, the
+    upper one the quadratic residual bound of Li and Li (Linear Algebra
+    Appl. 2005).  Rounding: a factorization that completes in floating
+    point proves only M + dM positive semidefinite, with ||dM|| <= (N + 1)
+    eps trace(M) (Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm. 10.3), and forming M rounds each entry by at most about (r + 3)
+    eps (mu + theta_1 + c) / 2.  The margin delta = (N + 1) eps (trace(M) +
+    N (mu + theta_1 + c)) covers both and is taken from theta_r - mu; the
+    Ritz values themselves carry rounding of order N eps theta_1.
+    """
+    side = gram.shape[0]
+    width = r + _KRYLOV_EXTRA
+    basis = np.empty((side, _KRYLOV_BLOCKS * width))
+    image = np.empty_like(basis)
+    block = np.linalg.qr(gram[:, np.argsort(-np.diagonal(gram), kind="stable")[:width]])[0]
+    prior = np.inf
+    for step in range(1, _KRYLOV_BLOCKS + 1):
+        k = step * width
+        basis[:, k - width : k] = block
+        image[:, k - width : k] = gram @ block
+        q, w = basis[:, :k], image[:, :k]
+        t = q.T @ w
+        theta, s = np.linalg.eigh((t + t.T) / 2)
+        theta, s = theta[::-1][: r + 1], s[:, ::-1][:, :r]
+        y = q @ s
+        residual = float(np.linalg.norm(w @ s - y * theta[:r]))
+        gap = float(theta[r - 1] - theta[r])
+        need = _KRYLOV_TOL * float(theta[0]) * gap
+        if not need > 0.0:
+            return None, EnergySolve("dense", "stall", k)
+        progress = residual * residual / need
+        if progress <= 1.0 and residual < gap / 4:
+            break
+        if step == _KRYLOV_BLOCKS:
+            return None, EnergySolve("dense", "budget", k)
+        # Even the rate of the last block, kept up, would not reach the
+        # stop test within the budget.  A rate above 1 counts as 1, which
+        # also keeps the power finite.
+        if progress * min(progress / prior, 1.0) ** (_KRYLOV_BLOCKS - step) > 1.0:
+            return None, EnergySolve("dense", "stall", k)
+        prior = progress
+        block = image[:, k - width : k].copy()
+        for _ in range(2):
+            block -= q @ (q.T @ block)
+            block = np.linalg.qr(block)[0]
+    top = float(theta[0])
+    mu, c = float(theta[r - 1]) - gap / 2, 2.0 * top
+    trace = side * mu - float(np.trace(gram)) + c * float(np.sum(y * y))
+    margin = (side + 1) * np.finfo(np.float64).eps * (abs(trace) + side * (mu + top + c))
+    bound = residual * residual / (gap / 2 - margin) if margin < gap / 4 else np.inf
+    if not bound <= _KRYLOV_BOUND * top:
+        return None, EnergySolve("dense", "bound", k)
+    # M in G's own buffer, c Y Y^T added a row block at a time.
+    np.negative(gram, out=gram)
+    gram.flat[:: side + 1] += mu
+    rows = 64
+    for i in range(0, side, rows):
+        gram[i : i + rows] += (c * y[i : i + rows]) @ y.T
+    return np.maximum(theta[:r], 0.0), EnergySolve("krylov", None, k, bound)
+
+
 def energy_profile(x, top_r: int) -> EnergyProfile:
     """Energy captured by the leading ``top_r`` singular directions of |X|.
 
-    The energies are the squared singular values of |X|, computed as the
-    eigenvalues of the smaller Gram matrix of |X| by one dense symmetric
-    eigensolve, taken in descending order and clamped at 0 (rounding can
-    leave eigenvalues past the numerical rank slightly negative).  They are
-    computed on the unit scale of |X|, as in :func:`rank1_binary`, and
-    mapped back, so they underflow or overflow only where the true values do.
+    The energies are the squared singular values of |X|: the top ``top_r``
+    eigenvalues of the smaller Gram matrix G of |X|, in descending order and
+    clamped at 0 (rounding can leave eigenvalues past the numerical rank
+    slightly negative).  When G's side is at least 50 (top_r + 8), 800
+    for top_r = 8, they come from a block Krylov subspace of G of at most
+    5 blocks of top_r + 8 columns, certified by one Cholesky factorization:
+    each is a lower bound on the eigenvalue of G within
+    ``diagnostics.bound``, at most 1e-12 of the leading energy (see
+    :func:`_krylov`).  Otherwise, and whenever the Krylov solve stalls,
+    runs out of blocks or is refused its certificate, one dense symmetric
+    eigensolve of G gives them all; ``diagnostics`` records which path ran
+    and why.  Either way the energies are computed on the unit scale of
+    |X|, as in :func:`rank1_binary`, and mapped back, so they underflow or
+    overflow only where the true values do.
     """
     top_r = operator.index(top_r)
-    _, mags, e = _unit_magnitudes(x)
+    x, mags, e = _unit_magnitudes(x)
     m, n = mags.shape
     if not 1 <= top_r <= min(m, n):
         raise ValueError(f"top_r must be in [1, {min(m, n)}]")
@@ -227,11 +362,34 @@ def energy_profile(x, top_r: int) -> EnergyProfile:
         return EnergyProfile(
             singular_energies=(0.0,) * top_r, total=0.0, ratio_1=0.0, remainder=0.0
         )
-    gram = mags.T @ mags if n <= m else mags @ mags.T
-    energies = np.maximum(np.linalg.eigvalsh(gram)[::-1][:top_r], 0.0)
+    gram = _gram(mags)
+    side = gram.shape[0]
+    if side < _KRYLOV_FLOOR * (top_r + _KRYLOV_EXTRA):
+        energies, solve = None, EnergySolve("dense", "floor")
+    else:
+        energies, solve = _krylov(gram, top_r)
+    # |X| is released only now, as one free block that the Cholesky factor
+    # or the dense solve's copy of G can reuse.  Released before the Krylov
+    # step, it would be split by that step's arrays, and the process would
+    # hold about one more matrix at its peak.
+    del mags
+    if energies is not None:
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            energies, solve = None, EnergySolve("dense", "refused", solve.dimension)
+    if solve.reason == "refused":
+        # Outside the handler, whose traceback still holds M.
+        del gram
+        gram = _gram(_unit_magnitudes(x)[1])
+    if energies is None:
+        energies = np.maximum(np.linalg.eigvalsh(gram)[::-1][:top_r], 0.0)
+    else:
+        solve = replace(solve, bound=float(_from_unit(solve.bound, e, 2)))
     return EnergyProfile(
         singular_energies=tuple(_from_unit(energies, e, 2)),
         total=float(_from_unit(total, e, 2)),
         ratio_1=min(max(float(energies[0]) / total, 0.0), 1.0),
         remainder=float(_from_unit(total - float(np.sum(energies)), e, 2)),
+        diagnostics=solve,
     )

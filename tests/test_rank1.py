@@ -326,3 +326,146 @@ def test_energy_profile_validation_and_zero_matrix():
         energy_profile(np.ones((3, 3)), 4)
     with pytest.raises(ValueError):
         energy_profile(np.ones(3), 1)
+
+
+# --- the certified Krylov path of energy_profile ---------------------------
+
+
+def laplace_matrix(m, n, seed, column_decay=0.9):
+    """A laplace(1) matrix with column j scaled by max(decay^j, 0.1), as in
+    the matrix-io benchmark; decay 1 gives equal column scales."""
+    x = generate(SyntheticSpec("laplace", m * n, seed, (1.0,))).reshape(m, n)
+    return x * np.maximum(column_decay ** np.arange(n), 0.1)
+
+
+def dense_profile(x, top_r, monkeypatch):
+    """energy_profile with the Krylov path switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(rank1, "_KRYLOV_FLOOR", 10**9)
+        profile = energy_profile(x, top_r)
+    assert profile.diagnostics == rank1.EnergySolve("dense", "floor")
+    return profile
+
+
+def assert_bitwise_equal(got, expected):
+    for name in ("singular_energies", "total", "ratio_1", "remainder"):
+        assert getattr(got, name) == getattr(expected, name), name
+
+
+def test_diagnostics_take_no_part_in_equality_or_repr():
+    fields = dict(singular_energies=(2.0, 1.0), total=4.0, ratio_1=0.5, remainder=1.0)
+    plain = EnergyProfile(**fields)
+    solved = EnergyProfile(**fields, diagnostics=rank1.EnergySolve("krylov", None, 80, 1e-15))
+    assert plain == solved and repr(plain) == repr(solved)
+    assert "diagnostics" not in repr(solved)
+
+
+def test_small_gram_takes_the_dense_path():
+    profile = energy_profile(random_matrix(40, 24, 3), 4)
+    assert profile.diagnostics == rank1.EnergySolve("dense", "floor")
+    assert energy_profile(np.zeros((3, 3)), 2).diagnostics is None
+
+
+def test_certificate_refuses_an_eigenvalue_the_krylov_space_misses(monkeypatch):
+    # |X| = diag(A, B): A's scaled columns hold the 16 largest diagonal
+    # entries of G, so the start block and every Krylov block lie in A's
+    # coordinates, while B, small per entry but large in extent, holds G's
+    # second eigenvalue.  The Ritz values converge to A's spectrum; only the
+    # Cholesky certificate can see that they are not G's top eight.
+    x = np.zeros((1000, 1000))
+    x[:200, :200] = laplace_matrix(200, 200, 1)
+    x[200:, 200:] = 0.03 * laplace_matrix(800, 800, 2, column_decay=1.0)
+    mags = np.abs(x)
+    diagonal = np.sum(mags * mags, axis=0)
+    assert np.sort(diagonal[:200])[-16] > diagonal[200:].max()
+    profile = energy_profile(x, 8)
+    assert profile.diagnostics.path == "dense"
+    assert profile.diagnostics.reason == "refused"
+    assert_bitwise_equal(profile, dense_profile(x, 8, monkeypatch))
+    lead_b = np.linalg.svd(mags[200:, 200:], compute_uv=False)[0] ** 2
+    assert profile.singular_energies[1] == pytest.approx(lead_b, rel=1e-12)
+
+
+def test_a_repeated_eigenvalue_at_the_cut_falls_back(monkeypatch):
+    # |X| = diag(A, A) doubles every eigenvalue of A's Gram matrix, so
+    # lambda_7 = lambda_8: no gap separates the top seven from the rest.
+    a = laplace_matrix(500, 500, 3)
+    x = np.zeros((1000, 1000))
+    x[:500, :500] = x[500:, 500:] = a
+    profile = energy_profile(x, 7)
+    assert profile.diagnostics.path == "dense"
+    assert_bitwise_equal(profile, dense_profile(x, 7, monkeypatch))
+    seventh, eighth = dense_profile(x, 8, monkeypatch).singular_energies[6:]
+    assert seventh == pytest.approx(eighth, rel=1e-12)
+
+
+def test_krylov_path_handles_energies_below_the_normal_range(monkeypatch):
+    # Energies 1, 1e-320, 8.1e-321 and 6.4e-321: the second and third are
+    # subnormal, and their gap times the stop tolerance is 0.
+    x = np.zeros((500, 500))
+    x[:4, :4] = np.diag([1.0, 1e-160, 0.9e-160, 0.8e-160])
+    lead = energy_profile(x, 1)
+    assert lead.diagnostics.path == "krylov" and lead.singular_energies == (1.0,)
+    profile = energy_profile(x, 2)
+    assert profile.diagnostics.path == "dense"
+    assert_bitwise_equal(profile, dense_profile(x, 2, monkeypatch))
+
+
+@pytest.mark.parametrize("power", [600, -600, 37])
+def test_krylov_path_is_equivariant_under_powers_of_two(power):
+    x = laplace_matrix(800, 800, 5)
+    base, got = energy_profile(x, 8), energy_profile(np.ldexp(x, power), 8)
+    assert base.diagnostics.path == got.diagnostics.path == "krylov"
+    assert got.ratio_1 == base.ratio_1
+    with np.errstate(over="ignore"):
+        # 2^1200 overflows to inf and 2^-1200 underflows to 0, as the true
+        # energies do.
+        assert got.singular_energies == tuple(np.ldexp(base.singular_energies, 2 * power))
+        assert got.total == np.ldexp(base.total, 2 * power)
+        assert got.remainder == np.ldexp(base.remainder, 2 * power)
+        assert got.diagnostics.bound == np.ldexp(base.diagnostics.bound, 2 * power)
+
+
+@pytest.mark.parametrize("decay,path", [(0.9, "krylov"), (1.0, "dense")])
+def test_energy_profile_matches_svd_above_the_size_floor(decay, path):
+    # Column scales 0.9^j set the leading squared singular values about
+    # 10 % apart and the Krylov certificate holds; equal scales put values
+    # 2 to 9 in a clustered bulk, where the Krylov solve stalls.
+    x = laplace_matrix(1000, 1000, 30, column_decay=decay)
+    profile = energy_profile(x, 8)
+    assert profile.diagnostics.path == path
+    expected = np.linalg.svd(np.abs(x), compute_uv=False)[:8] ** 2
+    assert_close(profile.singular_energies, expected, rel=1e-12)
+    if path == "krylov":
+        assert 0.0 < profile.diagnostics.bound <= 1e-12 * profile.singular_energies[0]
+
+
+@st.composite
+def block_matrices(draw):
+    """600x600 block-diagonal matrices: up to three laplace blocks of drawn
+    sizes, column decays and scales, and a top_r the Krylov path accepts."""
+    cuts = sorted(draw(st.lists(st.integers(50, 550), max_size=2, unique=True)))
+    x = np.zeros((600, 600))
+    for lo, hi in zip([0, *cuts], [*cuts, 600]):
+        decay = draw(st.sampled_from([0.8, 0.9, 0.97, 1.0]))
+        scale = draw(st.sampled_from([1.0, 0.3, 0.05]))
+        x[lo:hi, lo:hi] = scale * laplace_matrix(hi - lo, hi - lo, draw(st.integers(0, 99)), decay)
+    return x, draw(st.integers(1, 4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(block_matrices())
+def test_krylov_energies_lie_within_their_certified_bound(case):
+    # A certified energy is a lower bound within `bound` of G's eigenvalue,
+    # up to rounding of order N eps lambda_1; a fallback is the dense path.
+    x, top_r = case
+    profile = energy_profile(x, top_r)
+    mags = np.abs(x)
+    exact = np.linalg.eigvalsh(mags.T @ mags)[::-1][:top_r]
+    if profile.diagnostics.path == "dense":
+        assert profile.singular_energies == tuple(np.maximum(exact, 0.0))
+        return
+    slack = 600 * np.finfo(np.float64).eps * exact[0]
+    got = np.array(profile.singular_energies)
+    assert np.all(got <= exact + slack)
+    assert np.all(exact - got <= profile.diagnostics.bound + slack)
