@@ -300,12 +300,14 @@ def _greedy(x, k: int, method: str) -> ScaledBinaryQuantization:
 # fixed point: its level, (m_lo + m_hi) / 2 for ls2 and m_hi / 2 for ternary,
 # satisfies a[t-1] <= level < a[t].
 #
-# The screening gains carry rounding, so the argmax and its neighbouring
-# run-boundary cuts are recomputed with numpy's pairwise mean over the sorted
-# slices, and a cut is kept only when its level satisfies that condition in
-# exact float arithmetic.  The sums are taken on the offsets
-# (a - a_0) / (a_{n-1} - a_0) in [0, 1]: unscaled, the squared sums underflow
-# for magnitudes near 1e-300, and because a shift leaves ls2's error
+# The magnitudes are on the unit scale of _to_unit, a_{n-1} in [0.5, 1), so
+# no sum or square in the scan overflows, and the fits of x and 2^k x see the same
+# magnitudes wherever the scaling of x is exact.  The screening gains carry
+# rounding, so the argmax and its neighbouring run-boundary cuts are
+# recomputed with numpy's pairwise mean over the sorted slices, and a cut is
+# kept only when its level satisfies that condition in exact float
+# arithmetic.  The sums are taken on the offsets
+# (a - a_0) / (a_{n-1} - a_0) in [0, 1]: because a shift leaves ls2's error
 # unchanged, offsets let its screen resolve groups narrower than the
 # rounding of the magnitudes themselves.  Ternary's suffix sums are mapped
 # back to a / a_{n-1}, since its pinned centre is not shift invariant.
@@ -368,15 +370,7 @@ def _ternary_gain(mags, suffix, upper):
 
 
 def _threshold(m_lo, m_hi):
-    """v1 = (m_lo + m_hi) / 2, the first of :func:`_two_bit_levels`.
-
-    A sum past the float64 maximum needs both means at least 2^970, where
-    halving is exact, so there the halves are added instead: the same
-    rounded half-sum, without the overflow.  Arrays come from the unit
-    scale of :func:`_to_unit`, so only a scalar sum can overflow.
-    """
-    if isinstance(m_hi, float) and math.isinf(m_lo + m_hi):
-        return 0.5 * m_lo + 0.5 * m_hi
+    """v1 = (m_lo + m_hi) / 2, the first of :func:`_two_bit_levels`."""
     return 0.5 * (m_lo + m_hi)
 
 
@@ -393,9 +387,10 @@ def _is_fixed_point(below, level, above):
 
 def _fixed_points(mags: np.ndarray, gain, in_runs, with_lower: bool):
     """Exactly self-consistent ``(v1, v2)`` levels among the run-boundary
-    cut with the largest screening gain and its neighbouring boundary cuts.
-    ``in_runs`` masks the cuts t = 1..n-1 inside a run of equal magnitudes,
-    a[t-1] == a[t]; their gains are overwritten with -inf."""
+    cut with the largest screening gain and its neighbouring boundary cuts
+    of the sorted unit-scale magnitudes ``mags``.  ``in_runs`` masks the
+    cuts t = 1..n-1 inside a run of equal magnitudes, a[t-1] == a[t]; their
+    gains are overwritten with -inf."""
     gain[1:][in_runs] = -np.inf
     best = int(gain.argmax())
     cuts = [best]
@@ -406,8 +401,8 @@ def _fixed_points(mags: np.ndarray, gain, in_runs, with_lower: bool):
         cuts.append(after)
     accepted = []
     for ti in cuts:
-        m_lo = _mean(mags[:ti], mags[-1]) if with_lower and ti > 0 else 0.0
-        m_hi = _mean(mags[ti:], mags[-1])
+        m_lo = _mean(mags[:ti], 1.0) if with_lower and ti > 0 else 0.0
+        m_hi = _mean(mags[ti:], 1.0)
         v1, v2 = _two_bit_levels(m_lo, m_hi)
         # Rounded slice means of a cluster a few ulps wide can give v2 < 0.
         if _is_fixed_point(mags[ti - 1] if ti else 0.0, v1, mags[ti]) and v2 >= 0:
@@ -416,13 +411,12 @@ def _fixed_points(mags: np.ndarray, gain, in_runs, with_lower: bool):
 
 
 def _best_levels(mags: np.ndarray, candidates) -> tuple[float, float]:
-    """The candidate with the smallest realized error; ties to smaller v1.
+    """The candidate with the smallest realized error on the sorted
+    unit-scale magnitudes ``mags``; ties to smaller v1.
 
-    Errors are scored on the unit scale of :func:`_to_unit`, to which
-    ``mags`` is scaled in place.  Each candidate is first scored on the
-    cut sums, and :func:`_split_mse` runs only on those whose bracket
-    overlaps the best one, so the choice is that of
-    ``min(candidates, key=(_split_mse, v1))``.
+    Each candidate is first scored on the cut sums, and :func:`_split_mse`
+    runs only on those whose bracket overlaps the best one, so the choice
+    is that of ``min(candidates, key=(_split_mse, v1))``.
 
     The bracket.  On the unit scale, with u = 2^-53, a candidate's realized
     cut t and centres c = v1 - v2 <= d = v1 + v2 (as rounded), the exact
@@ -448,16 +442,14 @@ def _best_levels(mags: np.ndarray, candidates) -> tuple[float, float]:
     has a strictly larger ``_split_mse`` than the candidate attaining it,
     so it can neither win nor tie.
     """
-    scaled, e = _to_unit(mags, mags[-1])
-    n = scaled.size
-    total = float(np.add.reduce(scaled))
-    squares = float(scaled @ scaled)
+    n = mags.size
+    total = float(np.add.reduce(mags))
+    squares = float(mags @ mags)
     brackets = []
     for v1, v2 in candidates:
-        v1, v2 = math.ldexp(v1, e), math.ldexp(v2, e)
         c, d = v1 - v2, v1 + v2
-        t = int(scaled.searchsorted(v1, side="left"))
-        below = float(np.add.reduce(scaled[:t]))
+        t = int(mags.searchsorted(v1, side="left"))
+        below = float(np.add.reduce(mags[:t]))
         above = total - below
         estimate = squares - 2.0 * c * below + t * c * c - 2.0 * d * above + (n - t) * d * d
         bound = 8 * (n + 8) * 2.0**-53 * (squares + 2.0 * d * total + n * d * d)
@@ -467,35 +459,34 @@ def _best_levels(mags: np.ndarray, candidates) -> tuple[float, float]:
     close = [cand for cand, (lower, _) in zip(candidates, brackets) if lower <= ceiling]
     if len(close) == 1:
         return close[0]
-    return min(
-        close,
-        key=lambda c: (_split_mse(scaled, math.ldexp(c[0], e), math.ldexp(c[1], e)), c[0]),
-    )
+    return min(close, key=lambda c: (_split_mse(mags, *c), c[0]))
 
 
 def _candidates(mags: np.ndarray, method: str):
-    """The ls2 or ternary candidate levels of sorted, not identically zero
-    magnitudes.  Ternary's are the exact fixed points of its cut scan; ls2
-    lists its own fixed points, the 1-bit fit and the ternary fixed points,
-    in that order because ties keep the first."""
+    """The ls2 or ternary candidate levels of sorted unit-scale magnitudes.
+    Ternary's are the exact fixed points of its cut scan; ls2 lists its own
+    fixed points, the 1-bit fit and the ternary fixed points, in that order
+    because ties keep the first."""
     offsets, suffix, upper = _cut_sums(mags)
     in_runs = mags[:-1] == mags[1:]
     candidates = _fixed_points(mags, _ternary_gain(mags, suffix, upper), in_runs, False)
     if method == "ls2":
         ls2 = _fixed_points(mags, _ls2_gain(offsets, suffix, upper), in_runs, True)
-        candidates = ls2 + [(_mean(mags, mags[-1]), 0.0)] + candidates
+        candidates = ls2 + [(_mean(mags, 1.0), 0.0)] + candidates
     return candidates
 
 
 def _two_plane_fit(x, method: str) -> ScaledBinaryQuantization:
-    """The ls2 or ternary fit: the best of :func:`_candidates`.  The zero
-    vector keeps zero levels and, as sign(0) = +1, all +1 planes."""
+    """The ls2 or ternary fit: the best of :func:`_candidates`, chosen on
+    the unit scale of :func:`_to_unit` and mapped back.  The zero vector
+    keeps zero levels and, as sign(0) = +1, all +1 planes."""
     x = as_float_vector(x)
     mags = np.abs(x)
     mags.sort()
     levels = np.zeros(2)
     if mags[-1] > 0.0:
-        levels[:] = _best_levels(mags, _candidates(mags, method))
+        mags, e = _to_unit(mags, mags[-1])
+        levels = _from_unit(np.array(_best_levels(mags, _candidates(mags, method))), e)
     return ScaledBinaryQuantization(levels=levels, planes=_fold(x, levels), method=method)
 
 
@@ -503,10 +494,10 @@ def quantize_ternary(x) -> ScaledBinaryQuantization:
     """Least squares ternary quantization onto {-2v, 0, +2v}.
 
     The optimum is the two-means cut of the sorted magnitudes with the lower
-    centre pinned at 0, so v is half the upper group's mean.  The returned
-    level satisfies v = mean(magnitudes strictly above v) / 2 exactly, with
-    the mean taken as a numpy reduction over the ascending sorted magnitude
-    slice.
+    centre pinned at 0, so v is half the upper group's mean.  On the unit
+    scale of the magnitudes the level satisfies v = mean(magnitudes
+    strictly above v) / 2 exactly, with the mean taken as a numpy reduction
+    over the ascending sorted magnitude slice.
 
     On subnormal data the exact level may not be a float64: for ``[5e-324]``
     v = 2**-1075 lies halfway between the floats 0 and 5e-324, which
@@ -524,6 +515,11 @@ def quantize_ls2(x) -> ScaledBinaryQuantization:
     1-bit fit (v2 = 0) and the ternary fit (v1 = v2) compete as well: they
     never have a smaller error, but they can tie with it, and ties go to
     the smaller v1.
+
+    The choice is made on the unit scale of the magnitudes.  On subnormal
+    data the levels are then rounded to the subnormal grid, which can cost
+    the optimum: for [-11, 11] * 2**-1074 the tie goes to v1 = v2 = 5.5 *
+    2**-1074, which rounds to 6 * 2**-1074, while the 1-bit fit is exact.
     """
     return _two_plane_fit(x, "ls2")
 

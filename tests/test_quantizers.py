@@ -1,3 +1,4 @@
+import math
 import time
 import warnings
 from dataclasses import replace
@@ -25,7 +26,7 @@ from bitquant import (
     sign,
 )
 from bitquant import quantizers
-from bitquant.quantizers import _best_levels, _candidates, _sorted_quantiles
+from bitquant.quantizers import _best_levels, _candidates, _sorted_quantiles, _to_unit
 from conftest import make_vectors
 
 from oracles import (
@@ -535,9 +536,10 @@ def test_best_levels_is_the_split_mse_selection(method, vector_battery):
         mags = np.sort(np.abs(x))
         if mags[-1] == 0.0:
             continue  # the zero vector has no candidates
+        mags, _ = _to_unit(mags, mags[-1])
         candidates = _candidates(mags, method)
         expected = split_mse_selection(mags, candidates)
-        got = _best_levels(mags.copy(), candidates)
+        got = _best_levels(mags, candidates)
         assert [v.hex() for v in got] == [v.hex() for v in expected]
 
 
@@ -550,15 +552,15 @@ def test_an_exact_tie_is_left_to_the_split_mse(monkeypatch):
     monkeypatch.setattr(
         quantizers, "_split_mse", lambda *args: scored.append(args) or split_mse(*args)
     )
-    mags = np.full(10, 0.3)
+    mags, _ = _to_unit(np.full(10, 0.3))
     candidates = _candidates(mags, "ls2")
     assert len({c[0] for c in candidates}) == 2
-    best = _best_levels(mags.copy(), candidates)
+    best = _best_levels(mags, candidates)
     assert len(scored) == len(candidates)
     assert best == split_mse_selection(mags, candidates)
     assert best[0] == min(c[0] for c in candidates)
     scored.clear()
-    normal = np.sort(np.abs(generate(SyntheticSpec("normal", 1000, 3))))
+    normal, _ = _to_unit(np.sort(np.abs(generate(SyntheticSpec("normal", 1000, 3)))))
     _best_levels(normal, _candidates(normal, "ls2"))
     assert scored == []
 
@@ -577,6 +579,40 @@ def test_power_of_two_scaling_is_exact(factor):
             scaled = fit(factor * x)
             assert np.array_equal(scaled.levels, factor * base.levels)
             assert np.array_equal(scaled.planes, base.planes)
+
+
+subnormals = (
+    st.integers(-(2**52) + 1, 2**52 - 1).filter(bool).map(lambda m: math.ldexp(m, -1074))
+)
+
+
+@st.composite
+def subnormal_scalings(draw):
+    """A finite vector holding a nonzero subnormal entry, and a power k >= 0
+    that scales it exactly, keeps it finite and lifts its largest magnitude
+    to at least 2^-900."""
+    xs = draw(st.lists(st.one_of(subnormals, st.floats(allow_nan=False, allow_infinity=False))))
+    x = np.array(draw(st.permutations(xs + [draw(subnormals)])))
+    top = math.frexp(float(np.abs(x).max()))[1]
+    k = draw(st.integers(max(0, -899 - top), 1024 - top))
+    return x, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(subnormal_scalings())
+@example((np.ldexp([-11.0, 11.0], -1074), 171))
+@example((np.ldexp([20.0, 12.0, 12.0], -1074), 170))
+def test_two_plane_levels_are_equivariant_on_subnormal_data(scaling):
+    # Both fits run on the unit scale of _to_unit, which x and 2^k x share
+    # exactly, so the levels of x are those of 2^k x scaled back, where the
+    # latter are normal floats or 0 and so not rounded twice.  Planes are
+    # left out: a level rounded to the subnormal grid can fold a sign the
+    # other way.
+    x, k = scaling
+    for fit in (quantize_ls2, quantize_ternary):
+        scaled = fit(np.ldexp(x, k)).levels
+        assert ((scaled == 0.0) | (scaled >= 2.0**-1022)).all()
+        assert np.array_equal(fit(x).levels, np.ldexp(scaled, -k))
 
 
 @pytest.mark.parametrize("factor", [1.7, 0.3])
