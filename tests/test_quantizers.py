@@ -615,6 +615,18 @@ def test_two_plane_levels_are_equivariant_on_subnormal_data(scaling):
         assert np.array_equal(fit(x).levels, np.ldexp(scaled, -k))
 
 
+def test_ls2_on_subnormal_data_rounds_its_unit_scale_choice():
+    # The cost quantize_ls2's docstring states: on the unit scale the levels
+    # (11, 0) and (5.5, 5.5) both fit [-11, 11] exactly, the tie goes to the
+    # smaller v1, and 5.5 * 2^-1074 rounds to 6 * 2^-1074 on x's grid.  So
+    # ls2 misses each entry by 2^-1074 where ls1 is exact.
+    x = np.ldexp([-11.0, 11.0], -1074)
+    q = quantize_ls2(x)
+    assert np.ldexp(q.levels, 1074).tolist() == [6.0, 6.0]
+    assert np.ldexp(reconstruct(q), 1074).tolist() == [-12.0, 12.0]
+    assert np.array_equal(reconstruct(quantize_ls1(x)), x)
+
+
 @pytest.mark.parametrize("factor", [1.7, 0.3])
 def test_continuous_scaling_is_equivariant(factor):
     x = generate(SyntheticSpec("laplace", 150, 33, (1.0,)))
