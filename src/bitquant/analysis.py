@@ -16,11 +16,11 @@ closed-form for the standard normal population (error function based).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import operator
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .quantizers import (
     objective,
     reconstruct,
 )
-from .tensor import _Record, as_float_vector, generate
+from .tensor import _Record, _write_file, as_float_vector, generate
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT2 = math.sqrt(2.0)
@@ -184,14 +184,17 @@ def emit_report(report: SweepReport, path) -> None:
 
     Floats are rendered with %.17g, so a written value parses back to the
     same double.  The levels column joins values with semicolons, and CSV
-    fields that hold a comma, such as ``lognormal(0,1)``, are quoted.
+    fields that hold a comma, such as ``lognormal(0,1)``, are quoted.  An
+    existing file is rewritten in place and truncated to the new length;
+    the write is neither atomic nor durable, and one that raises leaves an
+    empty file.
     """
     if str(path).lower().endswith(".json"):
         payload = {"rows": [asdict(r) for r in report.rows]}
-        Path(path).write_text(json.dumps(_finite(payload), indent=2, allow_nan=False) + "\n")
-        return
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        text = json.dumps(_finite(payload), indent=2, allow_nan=False) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(f.name for f in fields(SweepRow))
         for r in report.rows:
             writer.writerow((
@@ -199,6 +202,8 @@ def emit_report(report: SweepReport, path) -> None:
                 "" if r.angle_degrees is None else format(r.angle_degrees, ".17g"),
                 ";".join(format(v, ".17g") for v in r.levels),
             ))
+        text = buf.getvalue()
+    _write_file(path, text.encode())
 
 
 # ---------------------------------------------------------------------------

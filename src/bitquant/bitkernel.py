@@ -39,7 +39,7 @@ from .errors import (
     NonFiniteValueError,
 )
 from .quantizers import ScaledBinaryQuantization, _expand
-from .tensor import _MAX_ELEMENTS, _Record
+from .tensor import _MAX_ELEMENTS, _Record, _write_file
 
 WORD_BITS = 64
 _BQT_MAGIC = b"BQT1"
@@ -279,8 +279,13 @@ def _packed_bytes(pq: PackedQuantizedVector) -> bytes:
 
 
 def save_packed(pq: PackedQuantizedVector, path) -> None:
-    """Write a packed quantized vector to ``path`` in BQT1 format."""
-    Path(path).write_bytes(_packed_bytes(pq))
+    """Write a packed quantized vector to ``path`` in BQT1 format.
+
+    An existing file is rewritten in place and truncated to the new length.
+    The save is neither atomic nor durable; one that raises while writing
+    leaves an empty file.
+    """
+    _write_file(path, _packed_bytes(pq))
 
 
 def load_packed(path) -> PackedQuantizedVector:

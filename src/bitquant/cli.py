@@ -17,7 +17,6 @@ import json
 import math
 import re
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -39,7 +38,15 @@ from .quantizers import (
     reconstruct,
 )
 from .rank1 import channel_mean_rank1, energy_profile, rank1_binary, residual_fro2
-from .tensor import SyntheticSpec, _number, _tensor_bytes, generate, load_tensor, save_tensor
+from .tensor import (
+    SyntheticSpec,
+    _number,
+    _tensor_bytes,
+    _write_file,
+    generate,
+    load_tensor,
+    save_tensor,
+)
 
 
 class _DataError(Exception):
@@ -99,7 +106,7 @@ def cmd_quantize(args) -> int:
     if args.recon:
         files.append((args.recon, _tensor_bytes(reconstruct(q), args.recon)))
     for path, blob in files:
-        Path(path).write_bytes(blob)
+        _write_file(path, blob)
     _emit(
         {
             "method": family,
@@ -182,8 +189,7 @@ def cmd_curve(args) -> int:
             f"{format(curve.v[i], '.17g')},{lower_field},"
             f"{format(curve.upper_mean[i], '.17g')},{format(curve.average[i], '.17g')}"
         )
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_file(args.out, ("\n".join(lines) + "\n").encode())
     _emit(
         {
             "intersections": [
@@ -217,8 +223,7 @@ def cmd_energy(args) -> int:
         "rank1_residual_fro2": residual_fro2(data, best),
         "channel_mean_residual_fro2": residual_fro2(data, channel),
     }
-    with open(args.out, "w") as fh:
-        fh.write(json.dumps(_finite(report), indent=2, allow_nan=False) + "\n")
+    _write_file(args.out, (json.dumps(_finite(report), indent=2, allow_nan=False) + "\n").encode())
     _emit({"ratio_1": profile.ratio_1, "out": args.out})
     return 0
 

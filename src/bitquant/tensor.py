@@ -18,12 +18,20 @@ Two on-disk formats are supported:
 
 Loading rejects non-finite payloads, malformed headers, and dimension
 declarations that do not match the available bytes.
+
+Every file the package writes goes through :func:`_write_file`, which
+rewrites the target in place and truncates it to the new length.  A write
+is neither atomic nor durable (nothing calls ``fsync``); one that raises
+leaves an empty file, which every loader rejects.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
+import os
+import stat
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -44,6 +52,9 @@ _MAX_ELEMENTS = 1 << 40
 # Values per %-format call when writing CSV.  Alive all at once, 2**16
 # Python floats left about 2 MiB more resident memory behind them.
 _CSV_CHUNK = 4096
+# No O_TRUNC: truncating a file that holds data to zero on open costs far
+# more than writing over it and cutting it to length afterwards.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
 class _Record:
@@ -251,6 +262,32 @@ def _infer_format(path, fmt: str | None) -> str:
     )
 
 
+def _write_file(path, data: bytes) -> None:
+    """Write ``data`` to ``path``: the one place the package writes a file.
+
+    The file is created with mode ``0o666`` less the umask, or rewritten in
+    place, keeping its mode, and then truncated to ``len(data)``; a
+    character device such as ``os.devnull`` is written but not truncated.
+    The write is neither atomic nor durable.  If it raises once the file
+    is open, a regular file is truncated to 0 bytes as a best effort, so
+    no loader reads a prefix of the new bytes, and the error propagates.
+    """
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    except BaseException:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, 0)
+        raise
+    finally:
+        os.close(fd)
+
+
 def save_tensor(data, path, fmt: str | None = None) -> None:
     """Write a vector or matrix to ``path`` in FQT or CSV format.
 
@@ -259,8 +296,12 @@ def save_tensor(data, path, fmt: str | None = None) -> None:
     beyond the float32 range raises ValueError before anything is written,
     since the loader would reject the infinity it becomes.  Values that
     round to float32 subnormals or to 0 are kept.
+
+    An existing file is rewritten in place and truncated to the new length.
+    The save is neither atomic nor durable; one that raises while writing
+    leaves an empty file.
     """
-    Path(path).write_bytes(_tensor_bytes(data, path, fmt))
+    _write_file(path, _tensor_bytes(data, path, fmt))
 
 
 def _tensor_bytes(data, path, fmt: str | None = None) -> bytes:
