@@ -29,7 +29,6 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -39,14 +38,15 @@ from .errors import (
     NonFiniteValueError,
 )
 from .quantizers import ScaledBinaryQuantization, _expand
-from .tensor import _MAX_ELEMENTS, _Record, _write_file
+from .tensor import _MAX_ELEMENTS, _Record, _read_file, _write_file
 
 WORD_BITS = 64
 _BQT_MAGIC = b"BQT1"
 _MAX_PLANES = 64
-# Size of the XOR buffer of one step of the product kernel.  A row block
-# holds as many rows as fit at one word per step, at least one; a step then
-# takes as many words as fit, so a small block takes all of them at once.
+# Bytes of XOR words the product kernel holds at once.  A product whose
+# whole XOR table fits computes straight through.  A larger one steps: a
+# row block holds as many rows as fit at one word per step, at least one,
+# and a step then takes as many words as fit.
 _STEP_BYTES = 1 << 19
 
 
@@ -118,58 +118,84 @@ def unpack_quantization(pq: PackedQuantizedVector) -> np.ndarray:
     return _expand(pq.levels, planes)
 
 
-def _products(a_words, a_levels, b_words, b_levels, n: int):
-    """Values of m stacked rows against p stacked columns.
+def _level_sum(terms, out=None):
+    """Values from their level terms, shaped (ka, kw, ...).
 
-    ``a_words`` is (m, ka, n_words) with levels (m, ka), ``b_words`` is
-    (p, kw, n_words) with levels (p, kw).  Rows go through in blocks.  For
-    each block the popcounts of the plane XORs are added up over the words,
-    as many words per step as the step buffer holds: all at once for a
-    small block such as a single dot's, one word per step for a large one.
-    The counts are exact integers, whatever the steps.  The int64 cross
-    terms ``cross[i, j, r, c]``, the product of plane i of row r with plane
-    j of column c, exist for one block at a time; the last block's are
-    returned with the (m, p) float64 values.  Each value is one sequential
-    ``np.add.accumulate`` of the terms ``(la_i * lb_j) * cross_ij`` over
-    (i, j) in row-major order, plus 0.0, which turns an all -0.0 sum into
-    the +0.0 of a sum from 0.  So it does not depend on m, p or the
-    blocking.
+    ``terms[i, j]`` holds ``(la_i * lb_j) * cross_ij``.  Each value is one
+    sequential ``np.add.accumulate`` over (i, j) in row-major order, plus
+    0.0, which turns an all -0.0 sum into the +0.0 of a sum from 0.  So it
+    does not depend on how many values are summed at once.  Given ``out``,
+    the sums run in place in ``terms``, which saves a block of a large
+    product two allocations; a single dot is faster allocating.
     """
-    m, ka, n_words = a_words.shape
-    p, kw, _ = b_words.shape
+    sums = terms.reshape((-1,) + terms.shape[2:])
+    if out is None:
+        return np.add.accumulate(sums)[-1] + 0.0
+    np.add.accumulate(sums, axis=0, out=sums)
+    return np.add(sums[-1], 0.0, out=out)
+
+
+def _products(a_words, a_levels, b_words, b_levels, n: int):
+    """Values of stacked rows against stacked columns, broadcast.
+
+    ``a_words`` is (ka, 1, *R, n_words) with levels (ka, 1, *R), and
+    ``b_words`` (kw, *C, n_words) with levels (kw, *C), where R and C have
+    one length and broadcast to the shape of the values: () for a single
+    dot, (m, 1) against (1, p) for a matmul.  The popcounts of the plane
+    XORs are added up over the words; the counts are exact integers,
+    whatever the steps.  The int64 cross terms ``cross[i, j, ...]``, the
+    product of plane i of a row with plane j of a column, are returned with
+    the float64 values, each summed by :func:`_level_sum`.
+
+    A call whose XOR table fits the step buffer, such as every single dot
+    of a few planes, computes straight through.  A larger one goes through
+    in blocks of rows, as many words per step as the step buffer holds,
+    down to one word per step; its cross terms then exist for one block at
+    a time, and a call of more than one block returns the last block's,
+    shaped (ka, kw, rows, p).
+    """
+    n_words = a_words.shape[-1]
+    # a_words.size * b_words.size / n_words words make the XOR table.
+    if 8 * a_words.size * b_words.size <= _STEP_BYTES * n_words:
+        count = np.add.reduce(np.bitwise_count(a_words ^ b_words), axis=-1, dtype=np.int64)
+        # n - 2 * count, without converting the scalar 2.
+        cross = n - (count + count)
+        terms = a_levels * b_levels
+        terms *= cross
+        return cross, _level_sum(terms)
+    shape = np.broadcast_shapes(a_levels.shape, b_levels.shape)[2:]
+    ka, kw = a_words.shape[0], b_words.shape[0]
+    m, p = a_levels.size // ka, b_levels.size // kw
     cells = ka * kw * p
+    a_words = a_words.reshape(ka, 1, m, 1, n_words)
+    b_words = b_words.reshape(1, kw, 1, p, n_words)
+    a_levels = a_levels.reshape(ka, 1, m, 1)
+    b_levels = b_levels.reshape(1, kw, 1, p)
     rows = min(m, max(1, _STEP_BYTES // (8 * cells)))
     step = min(n_words, max(1, _STEP_BYTES // (8 * cells * rows)))
-    # (ka, m, n_words) and (kw, p, n_words) views.
-    a_t = a_words.transpose(1, 0, 2)
-    b_t = b_words.transpose(1, 0, 2)
     cross = np.empty((ka, kw, rows, p), dtype=np.int64)
     count = cross
-    # A call of one block and one step, such as a single dot, lets its XOR
-    # and popcount allocate their results.
-    flipped = ones = None
-    if rows < m or step < n_words:
-        flipped = np.empty(cross.shape + (step,), dtype=np.uint64)
-        ones = np.empty(flipped.shape, dtype=np.uint8)
+    flipped = np.empty(cross.shape + (step,), dtype=np.uint64)
+    ones = np.empty(flipped.shape, dtype=np.uint8)
     if step < n_words:
         # Stepping through the words: copy the planes word-major, so that a
         # step reads them contiguously, and add into uint16, which is
         # faster, while it holds 64 * n_words.
-        a_t, b_t = (np.ascontiguousarray(t.transpose(2, 0, 1)).transpose(1, 2, 0) for t in (a_t, b_t))
+        a_words, b_words = (
+            np.moveaxis(np.ascontiguousarray(np.moveaxis(t, -1, 0)), 0, -1)
+            for t in (a_words, b_words)
+        )
         if WORD_BITS * n_words < 1 << 16:
             count = np.empty(cross.shape, dtype=np.uint16)
-    a_t = a_t[:, None, :, None]
-    b_t = b_t[None, :, None]
-    # Beyond a single dot, a step first copies its row and column words out
-    # over the whole block: on 2^16 cells the two copies and an XOR of the
-    # contiguous copies take 0.7 of the time of one XOR of the broadcast
-    # views.
+    # Beyond one row against one column, a step first copies its row and
+    # column words out over the whole block: on 2^16 cells the two copies
+    # and an XOR of the contiguous copies take 0.7 of the time of one XOR
+    # of the broadcast views.
     tiled = rows * p > 1
     if tiled:
         a_tile = np.empty((ka, 1, rows, p, step), dtype=np.uint64)
         b_tile = np.empty((1, kw, rows, p, step), dtype=np.uint64)
-    sums = np.empty((ka * kw, rows, p))
-    terms = sums.reshape(cross.shape)
+    terms = np.empty(cross.shape)
     values = np.empty((m, p))
     for start in range(0, m, rows):
         if m - start < rows:
@@ -178,14 +204,13 @@ def _products(a_words, a_levels, b_words, b_levels, n: int):
             flipped, ones, count, cross, terms = (
                 buf[:, :, :rows] for buf in (flipped, ones, count, cross, terms)
             )
-            sums = sums[:, :rows]
             if tiled:
                 a_tile, b_tile = a_tile[:, :, :rows], b_tile[:, :, :rows]
         block = slice(start, start + rows)
         for w in range(0, n_words, step):
             k = min(step, n_words - w)
             x, o = (flipped, ones) if k == step else (flipped[..., :k], ones[..., :k])
-            a, b = a_t[:, :, block, :, w : w + k], b_t[..., w : w + k]
+            a, b = a_words[:, :, block, :, w : w + k], b_words[..., w : w + k]
             if tiled:
                 np.copyto(a_tile[..., :k], a)
                 np.copyto(b_tile[..., :k], b)
@@ -198,11 +223,12 @@ def _products(a_words, a_levels, b_words, b_levels, n: int):
                 count += o[..., 0] if k == 1 else o.sum(axis=-1, dtype=count.dtype)
         np.multiply(count, -2, out=cross, dtype=np.int64)
         cross += n
-        np.multiply(a_levels.T[:, None, block, None], b_levels.T[None, :, None], out=terms)
+        np.multiply(a_levels[:, :, block], b_levels, out=terms)
         terms *= cross
-        np.add.accumulate(sums, axis=0, out=sums)
-        np.add(sums[-1], 0.0, out=values[block])
-    return cross, values
+        _level_sum(terms, out=values[block])
+    if rows == m:
+        cross = cross.reshape((ka, kw) + shape)
+    return cross, values.reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,10 +252,10 @@ def quantized_dot(a: PackedQuantizedVector, b: PackedQuantizedVector) -> Quantiz
     """
     if a.n != b.n:
         raise ValueError(f"length mismatch: {a.n} vs {b.n}")
-    cross, values = _products(
-        a.words[None], a.levels[None], b.words[None], b.levels[None], a.n
+    cross, value = _products(
+        a.words[:, None], a.levels[:, None], b.words, b.levels, a.n
     )
-    return QuantizedDotResult(value=float(values[0, 0]), cross_terms=cross[:, :, 0, 0])
+    return QuantizedDotResult(value=float(value), cross_terms=cross)
 
 
 def quantized_matmul(rows, cols) -> np.ndarray:
@@ -251,10 +277,10 @@ def quantized_matmul(rows, cols) -> np.ndarray:
     if any(c.n != n or c.k != kw for c in cols):
         raise ValueError("columns must share element count and plane count")
     _, values = _products(
-        np.stack([r.words for r in rows]),
-        np.stack([r.levels for r in rows]),
-        np.stack([c.words for c in cols]),
-        np.stack([c.levels for c in cols]),
+        np.stack([r.words for r in rows], axis=1)[:, None, :, None],
+        np.stack([r.levels for r in rows], axis=1)[:, None, :, None],
+        np.stack([c.words for c in cols], axis=1)[:, None],
+        np.stack([c.levels for c in cols], axis=1)[:, None],
         n,
     )
     return values
@@ -274,8 +300,9 @@ def _packed_bytes(pq: PackedQuantizedVector) -> bytes:
     """The BQT1 bytes of ``pq``; more than 64 planes raise ValueError."""
     _check_planes(pq.k)
     header = struct.pack("<4sIQ", _BQT_MAGIC, pq.k, pq.n)
-    body = pq.levels.astype("<f8").tobytes() + pq.words.astype("<u8").tobytes()
-    return header + body
+    levels = pq.levels.astype("<f8", copy=False)
+    words = pq.words.astype("<u8", copy=False)
+    return header + levels.tobytes() + words.tobytes()
 
 
 def save_packed(pq: PackedQuantizedVector, path) -> None:
@@ -290,7 +317,7 @@ def save_packed(pq: PackedQuantizedVector, path) -> None:
 
 def load_packed(path) -> PackedQuantizedVector:
     """Read a BQT1 file back into a :class:`PackedQuantizedVector`."""
-    blob = Path(path).read_bytes()
+    blob = _read_file(path)
     if len(blob) < 16 or blob[:4] != _BQT_MAGIC:
         raise MalformedHeaderError(f"{path}: not a BQT1 file (bad magic)")
     k, n = struct.unpack_from("<IQ", blob, 4)
@@ -307,11 +334,14 @@ def load_packed(path) -> PackedQuantizedVector:
     if len(blob) > expected:
         raise MalformedHeaderError(f"{path}: {len(blob) - expected} trailing bytes")
     levels = np.frombuffer(blob, dtype="<f8", count=k, offset=16)
-    if not np.isfinite(levels).all() or (levels < 0).any():
+    # NaN fails both comparisons; -0.0 passes.
+    if not all(0.0 <= v < math.inf for v in levels.tolist()):
         raise NonFiniteValueError(f"{path}: levels must be finite and nonnegative")
     words = np.frombuffer(blob, dtype="<u8", count=k * n_words, offset=16 + 8 * k)
     words = words.reshape(k, n_words)
-    dirty = np.flatnonzero(words[:, -1] & ~_tail_mask(n))
-    if dirty.size:
-        raise MalformedHeaderError(f"{path}: plane {dirty[0]} has nonzero padding bits")
+    # A full last word has no padding.
+    if n % WORD_BITS:
+        dirty = np.flatnonzero(words[:, -1] & ~_tail_mask(n))
+        if dirty.size:
+            raise MalformedHeaderError(f"{path}: plane {dirty[0]} has nonzero padding bits")
     return PackedQuantizedVector(levels=levels, words=words, n=int(n))

@@ -28,6 +28,7 @@ leaves an empty file, which every loader rejects.
 from __future__ import annotations
 
 import contextlib
+import io
 import math
 import operator
 import os
@@ -288,6 +289,17 @@ def _write_file(path, data: bytes) -> None:
         os.close(fd)
 
 
+def _read_file(path) -> bytes:
+    """The bytes of ``path``, read through one unbuffered read-only file.
+
+    On a file of a few hundred bytes this takes less than half the time of
+    ``Path(path).read_bytes()``.  ``os.fspath`` refuses an integer, which
+    ``FileIO`` would take for a file descriptor.
+    """
+    with io.FileIO(os.fspath(path)) as f:
+        return f.readall()
+
+
 def save_tensor(data, path, fmt: str | None = None) -> None:
     """Write a vector or matrix to ``path`` in FQT or CSV format.
 
@@ -343,7 +355,7 @@ def load_tensor(path, fmt: str | None = None) -> np.ndarray:
 
 
 def _load_fqt(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
+    blob = _read_file(path)
     if len(blob) < 8 or blob[:4] != _FQT_MAGIC:
         raise MalformedHeaderError(f"{path}: not an FQT file (bad magic)")
     (rank,) = struct.unpack_from("<I", blob, 4)

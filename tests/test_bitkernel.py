@@ -372,6 +372,22 @@ def test_matmul_memory_is_bounded_by_a_row_block():
     assert peak - out.nbytes <= 3 * 2**20
 
 
+def test_dot_memory_is_bounded_by_a_step_buffer():
+    # 16 x 16 planes over 2^16 elements: the XOR table of the whole dot
+    # would take 2 MiB, four step buffers, and its popcounts 256 KiB more.
+    # Stepping holds one step buffer, its popcounts and a 256 KiB
+    # word-major copy of the planes.
+    a = random_packed(2**16, 16, seed=600)
+    b = random_packed(2**16, 16, seed=601)
+    tracemalloc.start()
+    try:
+        quantized_dot(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * bitkernel._STEP_BYTES
+
+
 # --- BQT1 files -----------------------------------------------------------
 
 

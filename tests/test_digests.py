@@ -16,12 +16,19 @@ The table covers:
   greedy-2 to greedy-4, which are a header, the levels and the packed
   planes, so they hold each fit whole; and the codebook, thresholds and
   codes of Lloyd at k = 1 to 3;
+* at each of those sizes, greedy-2 fits of uniform draws as rows against
+  ls2, ternary or greedy-3 fits of further draws as columns: the
+  ``quantized_matmul`` values of 3 rows by 3 columns, and the
+  ``quantized_dot`` value and cross terms of one row and one column; and
+  at n = 4097 the values of 64 rows by 32 columns, a product large enough
+  that the kernel steps through the words;
 * the FQT and CSV bytes of a vector, and the FQT bytes of a matrix;
 * the stdout of ``gen`` and ``quantize``.
 
 Every input comes from integer operations and IEEE arithmetic, which round
-one way on every machine.  Outputs whose last bits depend on the machine
-are left out:
+one way on every machine.  The packed products use only popcounts, IEEE
+multiplies and one sequential add per entry, and no BLAS.  Outputs whose
+last bits depend on the machine are left out:
 
 * Draws through transcendental functions: ``normal`` (log, cos and sin),
   and ``generate``'s ``normal``, ``laplace`` (log1p) and ``lognormal``
@@ -65,6 +72,8 @@ from bitquant import (
     quantize_ls1,
     quantize_ls2,
     quantize_ternary,
+    quantized_dot,
+    quantized_matmul,
     save_packed,
     save_tensor,
 )
@@ -78,6 +87,8 @@ FITS = {
     "ternary": quantize_ternary,
     **{f"greedy-{k}": partial(quantize_greedy, k=k) for k in (2, 3, 4)},
 }
+FIT_SIZES = (1, 63, 64, 65, 4097)
+PRODUCT_COLUMNS = ("ls2", "ternary", "greedy-3")
 
 
 def _uniform(n, seed, a=-1.0, b=1.0):
@@ -87,7 +98,7 @@ def _uniform(n, seed, a=-1.0, b=1.0):
 def fit_inputs():
     """Uniform draws at sizes around one and two words, and past 4096, and
     the largest of them scaled into the subnormal range."""
-    out = {f"uniform-{n}": _uniform(n, n) for n in (1, 63, 64, 65, 4097)}
+    out = {f"uniform-{n}": _uniform(n, n) for n in FIT_SIZES}
     out["subnormal-4097"] = np.ldexp(out["uniform-4097"], -1051)
     return out
 
@@ -103,6 +114,26 @@ def _generate(count, seed):
 def _bqt1(method, x):
     save_packed(pack_quantization(FITS[method](x)), "q.bqt")
     return Path("q.bqt").read_bytes()
+
+
+def _packed(method, n, count, first=0):
+    """Packed ``method`` fits of ``count`` uniform draws of n values; draw 0
+    is the fit input of that size."""
+    return [
+        pack_quantization(FITS[method](_uniform(n, n + 1000 * i)))
+        for i in range(first, first + count)
+    ]
+
+
+def _matmul(col_method, n, m, p):
+    rows = _packed("greedy-2", n, m)
+    cols = _packed(col_method, n, p, first=m)
+    return quantized_matmul(rows, cols).tobytes()
+
+
+def _dot(col_method, n):
+    result = quantized_dot(_packed("greedy-2", n, 1)[0], _packed(col_method, n, 1, first=1)[0])
+    return np.float64(result.value).tobytes() + result.cross_terms.tobytes()
 
 
 def _lloyd(k, x):
@@ -141,6 +172,11 @@ def outputs():
             out[f"bqt1/{method}/{label}"] = partial(_bqt1, method, x)
         for k in (1, 2, 3):
             out[f"fit/lloyd-{k}/{label}"] = partial(_lloyd, k, x)
+    for n in FIT_SIZES:
+        for method in PRODUCT_COLUMNS:
+            out[f"matmul/greedy-2@{method}/uniform-{n}"] = partial(_matmul, method, n, 3, 3)
+            out[f"dot/greedy-2@{method}/uniform-{n}"] = partial(_dot, method, n)
+    out["matmul/greedy-2@greedy-3/uniform-4097/64x32"] = partial(_matmul, "greedy-3", 4097, 64, 32)
     vector = _uniform(4097, 11, -2.0, 3.0)
     matrix = _uniform(65 * 33, 12).reshape(65, 33)
     out["fqt/vector"] = partial(_tensor, vector, "v.fqt")
@@ -242,6 +278,37 @@ DIGESTS = {
     "fit/lloyd-1/subnormal-4097": "b2412bc654974ac6f0132fb0688f010c10e2f84d4f15f23458d97da5c1c6f316",
     "fit/lloyd-2/subnormal-4097": "6c279c71d91f86e762d6d3a53195e1b62d4bb0115ca6ceb4bf775bf0c4cd8ce0",
     "fit/lloyd-3/subnormal-4097": "dd7b2205f11865fd2034f345641c7a189ee8a822538f59901eeb600cf8e7a743",
+    "matmul/greedy-2@ls2/uniform-1": "618da8e8a12b33febe4fb2b659900200a220a1a4616ffecc308e2527ddc8f3d6",
+    "dot/greedy-2@ls2/uniform-1": "3efd263a773748790aa7e384822c079a821249b74384e0ecfcdf9c0ec8a24db1",
+    "matmul/greedy-2@ternary/uniform-1": "618da8e8a12b33febe4fb2b659900200a220a1a4616ffecc308e2527ddc8f3d6",
+    "dot/greedy-2@ternary/uniform-1": "3efd263a773748790aa7e384822c079a821249b74384e0ecfcdf9c0ec8a24db1",
+    "matmul/greedy-2@greedy-3/uniform-1": "618da8e8a12b33febe4fb2b659900200a220a1a4616ffecc308e2527ddc8f3d6",
+    "dot/greedy-2@greedy-3/uniform-1": "486174525c82f87551377067f358afc0695ba8882b686f4520c48ca504a22dde",
+    "matmul/greedy-2@ls2/uniform-63": "6c84dddb75e760779eb6906d8431752e3638e22f6045a58004c921c1d8d23e9d",
+    "dot/greedy-2@ls2/uniform-63": "de2589604913749fa989c5219bafe210fd3404a29915be03f3ae25662301ae1d",
+    "matmul/greedy-2@ternary/uniform-63": "3f582fc0158418a662626270ac014c0946043ef5d39e782ffe2698b39f6dd985",
+    "dot/greedy-2@ternary/uniform-63": "5fcfe8abace8df0f4d63049cc3cddb50daddc61cce0363e8b00e6f75b89f2d6d",
+    "matmul/greedy-2@greedy-3/uniform-63": "00379c871764547a678ad7c7a0f7ec4a18d2119a2a53e25ec75efc9fafe1bbee",
+    "dot/greedy-2@greedy-3/uniform-63": "45ba0c78cbf14b1bacbb7eff5424ad7bf979af604d283ee6c6c3bc79d8c0a012",
+    "matmul/greedy-2@ls2/uniform-64": "c2517736d5496241dfed984a0a837b37328fd8987a1a5be101019dc94364d7e6",
+    "dot/greedy-2@ls2/uniform-64": "736d434b2b6716c64f68937a8d4903e1c3c7978f34651fef59f254f3972bc9f2",
+    "matmul/greedy-2@ternary/uniform-64": "aa0f99fb86f2f66ae6a91588acd1ececa6aeb211ec223c72b84408803433109f",
+    "dot/greedy-2@ternary/uniform-64": "60125d72fce8d623c61a4d868bd5a98978c71ca1ddec7baf486c6bbad6a370ec",
+    "matmul/greedy-2@greedy-3/uniform-64": "314b7a36afbe7e8d62463cde0c2b578e4a0c39bc6c011efa25255ceaa7c9930e",
+    "dot/greedy-2@greedy-3/uniform-64": "eaa570bd30216bcf4170553392a2087757d6f10b5c551a5afe39e8e014eefa5c",
+    "matmul/greedy-2@ls2/uniform-65": "cf479d8ae3b0cc4794816edb056ceea6e9268c6e1ff2f5d5133ff2dbc063219f",
+    "dot/greedy-2@ls2/uniform-65": "8ce45103dfa3ddb6f181aef66697fd882745e2c17c36839c3d3c6b2e9d493a05",
+    "matmul/greedy-2@ternary/uniform-65": "9c6b2332f7eca7c77d2f61c3b92614118cb5b1189f9cfad48a51a528f2e90302",
+    "dot/greedy-2@ternary/uniform-65": "20e304c66200ca1865c4b27b8d244c8aef491db194e88ff2e6b738dc3383a70e",
+    "matmul/greedy-2@greedy-3/uniform-65": "dda7899bf9a6af869e7ee1fe7efc7465d54eb1955235ee3ecf87ddc488dd53ad",
+    "dot/greedy-2@greedy-3/uniform-65": "3c69743abd67dca9160c5054911cac8b41a5ef380ed5b66a6b7730f808899b68",
+    "matmul/greedy-2@ls2/uniform-4097": "c3cdc7bef0d9a65b81b3f68ae2a18761f888fd8efffcac5a2c6b174233142fb0",
+    "dot/greedy-2@ls2/uniform-4097": "525c2239dfed835eef9493ca8ba790fe24c0ae0aab5197f96a8932bb4ab9dac6",
+    "matmul/greedy-2@ternary/uniform-4097": "4786b4b401ea427acbd39dd9d7bf29bf9235f70a9c4934bb032e2e2550f74049",
+    "dot/greedy-2@ternary/uniform-4097": "b4b9ceb4c9f535ca0c941e2a068f701b5389495098e2380b6115b38397e1c4bb",
+    "matmul/greedy-2@greedy-3/uniform-4097": "ba415303968980ba32f6e9c565fce81200027695d79edf9dcd7eafe358bdedac",
+    "dot/greedy-2@greedy-3/uniform-4097": "da08e550c5d415b58f69295a3066ae88b3414cfd04db42814ec566a25b7de7d4",
+    "matmul/greedy-2@greedy-3/uniform-4097/64x32": "47dc6b4c6e8501b70faf588d6dc64b4b9517d14097450b278c9dedb541346318",
     "fqt/vector": "b69cc2712dd300441f752f49644937e7516b6993887dcbe6df02564ab0906dee",
     "csv/vector": "5b50f6063bc946f2477a6b98f4738d3ee30d3eb4052d888487d6101930428004",
     "fqt/matrix": "199fc2c38e752918088b00291f0f6da602b9147ad33e66027e15a2ec168ae9ca",
