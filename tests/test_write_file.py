@@ -215,5 +215,7 @@ def test_the_package_opens_files_for_writing_in_one_place():
     src = Path(__file__).resolve().parent.parent / "src" / "bitquant"
     text = {p.name: p.read_text() for p in src.glob("*.py")}
     opens = [(name, m.group()) for name, t in text.items()
-             for m in re.finditer(r"\b(?:os\.)?open\(|\.write_(?:bytes|text)\(", t)]
-    assert opens == [("tensor.py", "os.open(")]
+             for m in re.finditer(r"\b(?:os\.)?open\(|\bFileIO\(|\.write_(?:bytes|text)\(", t)]
+    assert opens == [("tensor.py", "os.open("), ("tensor.py", "FileIO(")]
+    # The one FileIO is _read_file's, in FileIO's default read-only mode.
+    assert "with io.FileIO(os.fspath(path)) as f:" in text["tensor.py"]
